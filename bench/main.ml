@@ -50,11 +50,9 @@ let tests =
             {
               Harness.Config.label = "no-grouping";
               build =
-                Harness.Config.dev
-                  {
-                    Openmpopt.Pass_manager.default_options with
-                    disable_guard_grouping = true;
-                  };
+                Harness.Config.Dev
+                  (List.assoc "no guard grouping (Fig. 7 off)"
+                     Harness.Tables.ablation_configs);
               inject = [];
             }));
     Test.make ~name:"ablation/internalization"
@@ -63,11 +61,8 @@ let tests =
             {
               Harness.Config.label = "no-internalization";
               build =
-                Harness.Config.dev
-                  {
-                    Openmpopt.Pass_manager.default_options with
-                    disable_internalization = true;
-                  };
+                Harness.Config.Dev
+                  (List.assoc "no internalization" Harness.Tables.ablation_configs);
               inject = [];
             }));
   ]
@@ -221,7 +216,7 @@ let service_bench () =
     Service.Server.create { Service.Server.default_config with socket_path }
   in
   let server_thread = Thread.create Service.Server.serve_forever server in
-  let config = Ompgpu_api.Config.(default |> optimized |> with_sim) in
+  let config = Ompgpu_api.Config.(default |> with_pipeline Ompgpu_api.Pipeline.full |> with_sim) in
   let file = "xsbench.momp" in
   let source =
     (Proxyapps.Apps.find_exn "xsbench").Proxyapps.App.omp_source tiny

@@ -10,12 +10,12 @@
    domains (per-file output is buffered and printed in input order, so
    parallel output is byte-identical to sequential), and [--cache-dir DIR]
    memoizes each file's full compiler output on disk, content-addressed by
-   source text, scheme and pass options.  [--daemon SOCKET] sends the
+   source text, scheme and pipeline.  [--daemon SOCKET] sends the
    compiles to a running [mompd] instead, sharing its warm caches — the
    printed bytes are identical either way.
 
    The disable flags mirror the paper artifact's LLVM flags
-   openmp-opt-disable-... . *)
+   openmp-opt-disable-... and select a pipeline without those passes. *)
 
 open Cmdliner
 module A = Ompgpu_api
@@ -66,27 +66,32 @@ let run_compile files scheme pipeline_spec optimize no_spmd no_deglob no_csm
      compares two same-seed runs — and backtraces are not. *)
   let backtraces = backtrace || Sys.getenv_opt "OMPGPU_BACKTRACE" = Some "1" in
   if backtraces then Printexc.record_backtrace true;
-  let options =
-    if optimize then
+  (* -O is the full pipeline; each openmp-opt-disable-* flag leaves its
+     passes out (the flags mean nothing without -O) *)
+  let flag_pipeline =
+    if not optimize then None
+    else
+      let keep : A.Pipeline.pass -> bool = function
+        | Spmdize -> not no_spmd
+        | Deglobalize -> not no_deglob
+        | State_machine -> not no_csm
+        | Fold | Fold_late | Dedup | Dead_regions -> not no_fold
+        | Internalize | Cleanup -> true
+      in
+      let full = A.Pipeline.full in
+      let passes = List.filter keep full.passes and grouping = not no_group in
       Some
-        {
-          Openmpopt.Pass_manager.default_options with
-          disable_spmdization = no_spmd;
-          disable_deglobalization = no_deglob;
-          disable_state_machine_rewrite = no_csm;
-          disable_folding = no_fold;
-          disable_guard_grouping = no_group;
-        }
-    else None
+        (if passes = full.passes && grouping then full
+         else { full with name = "custom"; passes; grouping })
   in
   (* A malformed --pipeline spec is a client error of the same class the
      daemon rejects with Bad_request, so the one-shot driver settles it
      under the same taxonomy exit code. *)
   let pipeline =
     match pipeline_spec with
-    | None -> Ok None
+    | None -> Ok flag_pipeline
     | Some spec -> (
-      if options <> None then
+      if flag_pipeline <> None then
         Error
           "may not be combined with -O/--openmp-opt or the \
            openmp-opt-disable-* toggles"
@@ -114,7 +119,6 @@ let run_compile files scheme pipeline_spec optimize no_spmd no_deglob no_csm
       let config =
         {
           A.Config.scheme;
-          options;
           pipeline;
           emit_ir;
           run_sim;
@@ -205,9 +209,8 @@ let cmd =
                 "Run a first-class pass pipeline: a built-in tier \
                  ($(b,fast), $(b,full)) or a spec like \
                  $(b,fast=internalize,fold,cleanup\\@1) (see docs/API.md \
-                 for the grammar).  Supersedes $(b,-O) and the \
-                 $(b,openmp-opt-disable-*) toggles and may not be \
-                 combined with them.")
+                 for the grammar).  May not be combined with $(b,-O) \
+                 and the $(b,openmp-opt-disable-*) toggles.")
       $ flag [ "O"; "openmp-opt" ] "Run the OpenMP-aware optimization pipeline"
       $ flag [ "openmp-opt-disable-spmdization" ] "Disable SPMDzation"
       $ flag [ "openmp-opt-disable-deglobalization" ] "Disable HeapToStack/HeapToShared"

@@ -32,9 +32,10 @@ int main() {
 }
 |}
 
-let build label options =
+let build label spec =
+  let pipeline = Result.get_ok (Openmpopt.Pass_manager.Pipeline.of_string spec) in
   let m = Frontend.Codegen.compile ~file:"figure7.c" figure7 in
-  let report = Openmpopt.Pass_manager.run ~options m in
+  let report = Openmpopt.Pass_manager.run_pipeline ~pipeline m in
   (match Ir.Verify.check m with Ok () -> () | Error e -> failwith e);
   let sim = Gpusim.Interp.create Gpusim.Machine.test_machine m in
   Gpusim.Interp.run_host sim;
@@ -46,11 +47,12 @@ let build label options =
     (Gpusim.Interp.trace_values sim)
 
 let () =
-  let open Openmpopt.Pass_manager in
   Fmt.pr "== Figure 7: side-effect guarding during SPMDzation ==@.@.";
-  build "generic (no SPMDzation)" { default_options with disable_spmdization = true };
-  build "SPMD, naive guards" { default_options with disable_guard_grouping = true };
-  build "SPMD, grouped guards" default_options;
+  build "generic (no SPMDzation)"
+    "internalize,fold,deglobalize,state-machine,fold-late,dedup,dead-regions,cleanup@3";
+  build "SPMD, naive guards"
+    "internalize,fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3!nogroup";
+  build "SPMD, grouped guards" "full";
   Fmt.pr
     "@.Grouping adjacent side effects shares one guarded region and one barrier@.\
      (compare the guards and barriers columns), exactly as in Fig. 7 of the paper.@."

@@ -5,7 +5,7 @@
    (mompd), and embedders all run the exact same code — byte-identical
    output is a correctness property the test suite pins. *)
 
-let api_version = 2
+let api_version = 3
 let schema_version = Observe.Json.schema_version
 let with_schema = Observe.Json.with_schema
 
@@ -13,7 +13,6 @@ module Error = Fault.Ompgpu_error
 module Json = Observe.Json
 module Trace = Observe.Trace
 module Injector = Fault.Injector
-module Options = Openmpopt.Pass_manager
 module Scheme = Frontend.Codegen
 module Builds = Harness.Config
 module Runner = Harness.Runner
@@ -30,7 +29,6 @@ module Pipeline = Openmpopt.Pass_manager.Pipeline
 module Config = struct
   type t = {
     scheme : Frontend.Codegen.scheme;
-    options : Openmpopt.Pass_manager.options option;
     pipeline : Pipeline.t option;
     emit_ir : bool;
     run_sim : bool;
@@ -46,7 +44,6 @@ module Config = struct
   let default =
     {
       scheme = Frontend.Codegen.Simplified;
-      options = None;
       pipeline = None;
       emit_ir = true;
       run_sim = false;
@@ -61,20 +58,8 @@ module Config = struct
 
   let with_scheme scheme t = { t with scheme }
 
-  (* deprecated (api_version 2): the PR-4 toggle surface; prefer
-     [with_pipeline].  [pipeline] wins when both are set. *)
-  let optimized ?(options = Openmpopt.Pass_manager.default_options) t =
-    { t with options = Some options }
-
   let with_pipeline pipeline t = { t with pipeline = Some pipeline }
-
-  (* The pipeline this config actually runs: an explicit [pipeline] wins,
-     a bare deprecated [options] is mapped via [Pipeline.of_options]
-     (byte-identical by construction), [None] means O0. *)
-  let pipeline_of t =
-    match t.pipeline with
-    | Some p -> Some p
-    | None -> Option.map Openmpopt.Pass_manager.Pipeline.of_options t.options
+  let pipeline_of t = t.pipeline
 
   let with_sim t = { t with run_sim = true }
   let with_stats t = { t with want_stats = true }
@@ -89,16 +74,14 @@ module Config = struct
      do not — only successful results are ever cached, and a success's
      bytes do not depend on how many failed attempts preceded it.  The
      injector fingerprint keeps injected and clean compiles apart.
-
-     Optimization identity goes through the *effective pipeline*
-     ([pipeline_of]), so a deprecated [optimized] config and an equivalent
-     [with_pipeline] config share cache entries — they run the same pass
-     sequence and produce the same bytes. *)
+     Optimization identity is the pipeline's fingerprint, which leaves out
+     its display name: two pipelines that run the same pass sequence share
+     cache entries. *)
   let fingerprint t =
     String.concat ";"
       [
         Frontend.Codegen.scheme_name t.scheme;
-        (match pipeline_of t with
+        (match t.pipeline with
         | None -> "noopt"
         | Some p -> Openmpopt.Pass_manager.Pipeline.fingerprint p);
         Fault.Injector.fingerprint (Fault.Injector.create t.inject);
@@ -166,7 +149,7 @@ let compile_attempt ~(config : Config.t) ~injector ~file src : compiled =
       in
       let opt_report = ref None in
       let opt_error = ref None in
-      (match Config.pipeline_of config with
+      (match config.Config.pipeline with
       | None -> ()
       | Some pipeline -> (
         match Openmpopt.Pass_manager.run_pipeline ~pipeline ~injector ?trace m with
@@ -289,10 +272,9 @@ let compile ?config ?file src =
    daemon's warm cache serving one request's file label to another
    request at scale.
    v6: optimization identity moved from the options record's fingerprint
-   to the effective pipeline's (api_version 2) — same behavior now maps
-   to the same key whether it was requested via the deprecated toggles
-   or a first-class pipeline, and explicit pipelines (tiers, custom
-   specs) are addressable at all. *)
+   to the pipeline's (api_version 2), so explicit pipelines (tiers,
+   custom specs) are addressable at all.  api_version 3 removed the
+   options record; every build it could express keeps its v6 key. *)
 let cache_version = "mompc-cache-v6"
 
 let cache_key ~file ~config ~source =

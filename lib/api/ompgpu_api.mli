@@ -18,11 +18,11 @@
       ([Service.Protocol.version], docs/API.md). *)
 
 val api_version : int
-(** The façade's surface version: 2.  Version 2 made pass pipelines
-    first-class ({!Pipeline}, [Config.pipeline], cache v6); the version-1
-    entry points ([Config.optimized], the [Config.options] field,
-    [Options.run]) remain as deprecated aliases for one release per the
-    policy above. *)
+(** The façade's surface version: 3.  Version 2 made pass pipelines
+    first-class ({!Pipeline}, [Config.pipeline], cache v6); version 3
+    removed the deprecated boolean-toggle surface (the pass-options
+    record, its config field and builder, and the re-export that carried
+    them), so a {!Pipeline.t} is the only way to choose passes. *)
 
 val schema_version : int
 (** Schema stamp of every JSON payload emitted by the stack: 2. *)
@@ -48,16 +48,11 @@ module Trace = Observe.Trace
 module Injector = Fault.Injector
 (** Deterministic fault injection ([--inject] specs). *)
 
-module Options = Openmpopt.Pass_manager
-(** Pass-pipeline options, report and counters ([Options.options],
-    [Options.default_options], [Options.report]). *)
-
 module Pipeline = Openmpopt.Pass_manager.Pipeline
-(** First-class pass pipelines (api_version 2): named tiers
-    ([Pipeline.fast], [Pipeline.full]), custom ordered pass lists, and the
-    stable textual spec syntax ([Pipeline.of_string] /
-    [Pipeline.to_string]) accepted by [mompc --pipeline] and protocol v2's
-    ["pipeline"] member. *)
+(** Pass pipelines: named tiers ([Pipeline.fast], [Pipeline.full]),
+    custom ordered pass lists, and the stable textual spec syntax
+    ([Pipeline.of_string] / [Pipeline.to_string]) accepted by
+    [mompc --pipeline] and protocol v3's ["pipeline"] member. *)
 
 module Scheme = Frontend.Codegen
 (** Globalization schemes ([Scheme.Simplified] (LLVM 13),
@@ -84,14 +79,8 @@ module Apps = Proxyapps.Apps
 module Config : sig
   type t = {
     scheme : Frontend.Codegen.scheme;  (** globalization scheme *)
-    options : Openmpopt.Pass_manager.options option;
-        (** deprecated (api_version 2): the toggle-record way to request
-            optimization; superseded by [pipeline], which wins when both
-            are set.  Kept for one release per the deprecation policy. *)
     pipeline : Openmpopt.Pass_manager.Pipeline.t option;
-        (** [Some _] runs this pipeline; [None] falls back to [options]
-            (mapped via [Pipeline.of_options]) or, when that is also
-            [None], skips optimization entirely *)
+        (** [Some _] runs this pipeline; [None] skips optimization (O0) *)
     emit_ir : bool;  (** print the final MiniIR to the output *)
     run_sim : bool;  (** execute on the GPU simulator ([--run]) *)
     remarks_only : bool;  (** suppress IR output; keep remarks *)
@@ -112,19 +101,12 @@ module Config : sig
 
   val with_scheme : Frontend.Codegen.scheme -> t -> t
 
-  val optimized : ?options:Openmpopt.Pass_manager.options -> t -> t
-  (** Deprecated (api_version 2): sets the legacy [options] field; prefer
-      {!with_pipeline}.  [options] defaults to
-      [Openmpopt.Pass_manager.default_options], which is semantically
-      [Pipeline.full]. *)
-
   val with_pipeline : Openmpopt.Pass_manager.Pipeline.t -> t -> t
-  (** Run this pipeline (wins over the deprecated [options] field). *)
+  (** Run this pipeline. *)
 
   val pipeline_of : t -> Openmpopt.Pass_manager.Pipeline.t option
-  (** The pipeline the config actually runs: [pipeline] if set, else the
-      deprecated [options] mapped via [Pipeline.of_options], else [None]
-      (no optimization).  This is the identity {!fingerprint} hashes. *)
+  (** [t.pipeline]: the pipeline the config runs, [None] for O0.  Its
+      fingerprint is the optimization identity {!fingerprint} hashes. *)
 
   val with_sim : t -> t
   val with_stats : t -> t
@@ -181,7 +163,7 @@ val compile : ?config:Config.t -> ?file:string -> string -> (compiled, Error.t) 
 
 val cache_key : file:string -> config:Config.t -> source:string -> string
 (** Content address of one source compile: digest of the file label, the
-    source text, the config fingerprint (scheme, pass options, emission
+    source text, the config fingerprint (scheme, pipeline, emission
     flags, stats/trace selection) and the fault-injector fingerprint.
     Shared by the [--cache-dir] disk cache and the service's warm
     in-memory cache.  The file label joins the key because diagnostics

@@ -7,65 +7,17 @@
    rounds iterate the whole module, which subsumes the SCC scheduling at our
    module sizes).
 
-   The disable flags match the artifact's LLVM flags:
+   What runs is chosen by a pipeline.  The paper artifact's
    openmp-opt-disable-{spmdization, deglobalization, state-machine-rewrite,
-   folding}. *)
+   folding} flags are pipelines with the matching passes left out (mompc
+   builds them that way). *)
 
-type options = {
-  disable_spmdization : bool;
-  disable_deglobalization : bool;
-  disable_state_machine_rewrite : bool;
-  disable_folding : bool;
-  disable_internalization : bool;  (* ablation *)
-  disable_guard_grouping : bool;  (* ablation: Fig. 7 off *)
-  disable_heap_to_shared : bool;  (* isolate plain HeapToStack (Fig. 11d) *)
-  rounds : int;
-}
-
-let default_options =
-  {
-    disable_spmdization = false;
-    disable_deglobalization = false;
-    disable_state_machine_rewrite = false;
-    disable_folding = false;
-    disable_internalization = false;
-    disable_guard_grouping = false;
-    disable_heap_to_shared = false;
-    rounds = 3;
-  }
-
-(* Stable, human-readable identity of an option set.  Part of the content
-   address of a pipeline job (Sched.Cache): two jobs share a cache entry only
-   if their input IR text AND this fingerprint agree, so every field must
-   appear here.  Update this when adding an option field. *)
-let options_fingerprint (o : options) =
-  Printf.sprintf
-    "spmd=%b;deglob=%b;csm=%b;fold=%b;internalize=%b;group=%b;h2shared=%b;rounds=%d"
-    (not o.disable_spmdization)
-    (not o.disable_deglobalization)
-    (not o.disable_state_machine_rewrite)
-    (not o.disable_folding)
-    (not o.disable_internalization)
-    (not o.disable_guard_grouping)
-    (not o.disable_heap_to_shared)
-    o.rounds
-
-let all_disabled =
-  {
-    default_options with
-    disable_spmdization = true;
-    disable_deglobalization = true;
-    disable_state_machine_rewrite = true;
-    disable_folding = true;
-    disable_internalization = true;
-  }
-
-(* First-class pipelines.
+(* Pipelines.
 
    A pipeline is a named, ordered list of pass descriptors plus a round
    count and the two behavior flags that parameterize individual passes
    (Fig. 7 guard grouping, HeapToShared).  The textual syntax is stable and
-   part of the public surface (mompc --pipeline, protocol v2's "pipeline"
+   part of the public surface (mompc --pipeline, protocol v3's "pipeline"
    member, cache keys):
 
      spec   ::= builtin | [name "="] passes ["@" rounds] flag*
@@ -126,7 +78,7 @@ module Pipeline = struct
     {
       name = "full";
       passes = all_passes;
-      rounds = default_options.rounds;
+      rounds = 3;
       grouping = true;
       heap_to_shared = true;
     }
@@ -239,35 +191,6 @@ module Pipeline = struct
           |> Result.map List.rev
       in
       Ok { name; passes; rounds; grouping; heap_to_shared })
-
-  (* The legacy boolean-toggle surface, mapped onto a pipeline.  The
-     resulting pass sequence instruments exactly what [run] executed for the
-     same options, so the two surfaces produce byte-identical results. *)
-  let of_options (o : options) =
-    let passes =
-      List.filter
-        (fun p ->
-          match p with
-          | Internalize -> not o.disable_internalization
-          | Fold | Fold_late | Dedup | Dead_regions -> not o.disable_folding
-          | Deglobalize -> not o.disable_deglobalization
-          | Spmdize -> not o.disable_spmdization
-          | State_machine -> not o.disable_state_machine_rewrite
-          | Cleanup -> true)
-        all_passes
-    in
-    let p =
-      {
-        name = "custom";
-        passes;
-        rounds = o.rounds;
-        grouping = not o.disable_guard_grouping;
-        heap_to_shared = not o.disable_heap_to_shared;
-      }
-    in
-    match List.find_opt (fun (_, b) -> same_semantics p b) builtins with
-    | Some (name, _) -> { p with name }
-    | None -> p
 end
 
 type report = {
@@ -411,9 +334,11 @@ let run_pipeline ?(pipeline = Pipeline.full) ?(injector = Fault.Injector.none) ?
       let before = Observe.Trace.snapshot m in
       let c0 = counters_of_report !report in
       let remarks0 = List.length (Remark.all sink) in
-      let t0 = Sys.time () in
+      (* wall time of this pass alone: a process CPU clock would also count
+         every other domain's work while the pass runs *)
+      let t0 = Monotonic_clock.now () in
       f ();
-      let time_s = Sys.time () -. t0 in
+      let time_s = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
       let after = Observe.Trace.snapshot m in
       let counters =
         List.map2
@@ -516,10 +441,3 @@ let run_pipeline ?(pipeline = Pipeline.full) ?(injector = Fault.Injector.none) ?
       (Remark.all sink)
   in
   { !report with remarks }
-
-(* Deprecated alias (docs/API.md deprecation policy): the boolean-toggle
-   surface, routed through [run_pipeline] via [Pipeline.of_options].  The
-   mapped pipeline instruments the exact pass sequence the old driver
-   executed, so existing callers see byte-identical results and traces. *)
-let run ?(options = default_options) ?injector ?trace ?sink m =
-  run_pipeline ~pipeline:(Pipeline.of_options options) ?injector ?trace ?sink m

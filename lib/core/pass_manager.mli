@@ -1,47 +1,20 @@
 (** The OpenMPOpt pass driver: the paper's optimization pipeline.
 
-    [run] executes, over a MiniIR module produced by the front-end:
-    aggressive internalization, then rounds of mode-invariant runtime-call
-    folding, deglobalization (HeapToStack / HeapToShared), SPMDzation,
-    the custom state machine rewrite, execution-mode folding, runtime-call
-    deduplication, dead-parallel-region elimination and generic cleanup. *)
+    [run_pipeline] executes a {!Pipeline.t} over a MiniIR module produced
+    by the front-end.  The full pipeline runs aggressive internalization,
+    then rounds of mode-invariant runtime-call folding, deglobalization
+    (HeapToStack / HeapToShared), SPMDzation, the custom state machine
+    rewrite, execution-mode folding, runtime-call deduplication,
+    dead-parallel-region elimination and generic cleanup.  Every other
+    build (the paper artifact's [openmp-opt-disable-*] flags, the Figure 11
+    subsets, the DESIGN.md ablations) is a pipeline with passes left out or
+    a behavior flag cleared. *)
 
-(** Pass toggles.  The [disable_*] flags mirror the paper artifact's
-    LLVM flags [openmp-opt-disable-spmdization],
-    [openmp-opt-disable-deglobalization],
-    [openmp-opt-disable-state-machine-rewrite] and
-    [openmp-opt-disable-folding]; the remaining toggles support the
-    ablations called out in DESIGN.md. *)
-type options = {
-  disable_spmdization : bool;
-  disable_deglobalization : bool;
-  disable_state_machine_rewrite : bool;
-  disable_folding : bool;
-  disable_internalization : bool;  (** ablation: Section IV internalization *)
-  disable_guard_grouping : bool;  (** ablation: Fig. 7 side-effect grouping *)
-  disable_heap_to_shared : bool;  (** isolate plain HeapToStack (Fig. 11d) *)
-  rounds : int;  (** pipeline iterations; 3 matches early+late scheduling *)
-}
+(** Pipelines: a named, ordered list of pass descriptors with a round
+    count, serializable to a stable textual syntax.  The only way to
+    select what [run_pipeline] executes.
 
-val default_options : options
-(** Everything enabled, three rounds. *)
-
-val options_fingerprint : options -> string
-(** Stable, human-readable identity of an option set; used as part of the
-    content address of a pipeline job in the scheduler's result cache
-    (see docs/SCHEDULER.md).  Covers every field. *)
-
-val all_disabled : options
-(** Every OpenMP-specific optimization off (the "No OpenMP Optimization"
-    build of Figure 11); generic cleanup still runs. *)
-
-(** First-class pipelines: a named, ordered list of pass descriptors with a
-    round count, serializable to a stable textual syntax.  This is the
-    primary way to select what [run_pipeline] executes — the boolean
-    [options] record above is the deprecated PR-4-era surface, kept per the
-    docs/API.md deprecation policy and mapped via [of_options].
-
-    Spec syntax (also accepted by [mompc --pipeline] and protocol v2's
+    Spec syntax (also accepted by [mompc --pipeline] and protocol v3's
     ["pipeline"] request member):
 
     {v spec   ::= "fast" | "full" | [name "="] passes ["@" rounds] flag*
@@ -87,8 +60,7 @@ module Pipeline : sig
   (** Upper bound [of_string] accepts for [rounds] (16). *)
 
   val full : t
-  (** The paper's default pipeline: every pass, three rounds.  Semantically
-      identical to [run] with [default_options]. *)
+  (** The paper's default pipeline: every pass, three rounds. *)
 
   val fast : t
   (** The low-latency tier answering cold daemon requests:
@@ -99,12 +71,6 @@ module Pipeline : sig
   (** The named tiers [of_string] resolves by bare name: fast, full. *)
 
   val find : string -> t option
-
-  val of_options : options -> t
-  (** Map the deprecated toggle record onto a pipeline.  The result
-      instruments the exact pass sequence the old [run] executed for the
-      same options, so both surfaces produce byte-identical results; when
-      the mapped semantics match a builtin, its name is adopted. *)
 
   val to_string : t -> string
   (** Canonical spec, [name ^ "=" ^ body]; [of_string (to_string p)] yields
@@ -176,25 +142,14 @@ val run_pipeline :
     exercising the driver-level recovery paths.
 
     All mutable pipeline state (remark sink, counters, trace) is local to
-    one [run] invocation, so concurrent runs on distinct modules from
-    different domains are safe and cannot observe each other's remarks.
-    [sink] injects a caller-owned (fresh, per-job) remark sink; when
-    omitted, a private one is created.
+    one [run_pipeline] invocation, so concurrent runs on distinct modules
+    from different domains are safe and cannot observe each other's
+    remarks.  [sink] injects a caller-owned (fresh, per-job) remark sink;
+    when omitted, a private one is created.
 
     When [trace] is given, every executed pass records one
-    [Observe.Trace.event] per round: wall time, module and per-function IR
-    deltas, and the increments to the report counters (plus a ["remarks"]
+    [Observe.Trace.event] per round: the pass's wall time (monotonic clock,
+    so work on other domains does not inflate it), module and per-function
+    IR deltas, and the increments to the report counters (plus a ["remarks"]
     pseudo-counter with the number of remarks the pass emitted).  Passes
     absent from the pipeline record nothing. *)
-
-val run :
-  ?options:options ->
-  ?injector:Fault.Injector.t ->
-  ?trace:Observe.Trace.t ->
-  ?sink:Remark.sink ->
-  Ir.Irmod.t ->
-  report
-(** Deprecated (since api_version 2; docs/API.md deprecation policy): the
-    boolean-toggle surface over [run_pipeline], equivalent to
-    [run_pipeline ~pipeline:(Pipeline.of_options options)] and
-    byte-identical to it.  New callers should build a [Pipeline.t]. *)

@@ -37,7 +37,7 @@ val to_string : t -> string
 
     Ownership contract (domain safety): a sink belongs to exactly one
     pipeline run — create a fresh one per job and never share a sink
-    between concurrent [Pass_manager.run] invocations.  There is
+    between concurrent [Pass_manager.run_pipeline] invocations.  There is
     deliberately no module-level default sink. *)
 type sink
 

@@ -36,26 +36,18 @@ let cell_name c =
 let cell_of_name s =
   List.find_opt (fun c -> String.equal (cell_name c) s) cells
 
-let config_of_cell ?pipeline c =
-  let base =
-    {
-      Api.Config.default with
-      Api.Config.scheme = c.scheme;
-      options =
-        (match c.pipeline with
-        | O0 -> None
-        | Full -> Some Api.Options.default_options);
-      run_sim = true;
-      emit_ir = false;
-    }
-  in
-  (* an explicit pipeline override replaces the Full cells' pass
-     pipeline (api_version 2): `conformance --pipeline fast` replays the
-     matrix with the fast tier standing in for the full one.  O0 cells
-     are untouched — they are the unoptimized reference column. *)
-  match (c.pipeline, pipeline) with
-  | Full, Some p -> { base with Api.Config.options = None; pipeline = Some p }
-  | _ -> base
+let config_of_cell ?(pipeline = Api.Pipeline.full) c =
+  {
+    Api.Config.default with
+    Api.Config.scheme = c.scheme;
+    (* an explicit pipeline replaces the Full cells' pass pipeline:
+       `conformance --pipeline fast` replays the matrix with the fast tier
+       standing in for the full one.  O0 cells are untouched — they are
+       the unoptimized reference column. *)
+    pipeline = (match c.pipeline with O0 -> None | Full -> Some pipeline);
+    run_sim = true;
+    emit_ir = false;
+  }
 
 (* The documented unsoundness classes (docs/CONFORMANCE.md).  A class is
    a *license* for a cell to diverge, not a prediction that it will: an

@@ -38,11 +38,11 @@ val cell_of_name : string -> cell option
 
 val config_of_cell :
   ?pipeline:Ompgpu_api.Pipeline.t -> cell -> Ompgpu_api.Config.t
-(** The facade config a cell compiles under: the cell's scheme, the full
-    default pipeline for [Full] (none for [O0]), simulation on, IR
-    emission off.  Also what the daemon traffic generator sends.
-    [?pipeline] (api_version 2) substitutes an explicit pipeline for the
-    [Full] cells — [conformance --pipeline fast] replays the matrix with
+(** The facade config a cell compiles under: the cell's scheme,
+    [pipeline] (default [Pipeline.full]) for [Full] (none for [O0]),
+    simulation on, IR emission off.  Also what the daemon traffic
+    generator sends.  An explicit [pipeline] stands in for the [Full]
+    cells — [conformance --pipeline fast] replays the matrix with
     the fast tier in the optimized column; [O0] cells are unaffected. *)
 
 val classify : cell -> Gen.prog -> string option

@@ -18,7 +18,7 @@ type site =
       (** shared-memory budget exhaustion in [Gpusim.Interp]: forces the
           paper's heap-fallback path (graceful, counted) instead of abort *)
   | Sim_trap  (** a trap on an executed instruction in [Gpusim.Interp] *)
-  | Pass_crash  (** an exception inside [Openmpopt.Pass_manager.run] *)
+  | Pass_crash  (** an exception inside [Openmpopt.Pass_manager.run_pipeline] *)
   | Cache_corrupt  (** bit-flip a [Sched.Disk_cache] entry at store time *)
   | Disk_full
       (** fail a [Sched.Disk_cache] store as if the disk were full

@@ -1,14 +1,14 @@
 (* Build configurations of the evaluation (Section V / Figure 11 legends). *)
 
+module Pipeline = Openmpopt.Pass_manager.Pipeline
+
 type build =
   | Llvm12  (* legacy globalization, no OpenMP-aware middle end *)
   | Dev_noopt  (* simplified globalization, explicit OpenMP opts disabled *)
-  | Dev of Openmpopt.Pass_manager.options  (* simplified + a subset of passes *)
+  | Dev of Pipeline.t  (* simplified + a pipeline (a subset of passes) *)
   | Cuda  (* kernel-style build of the CUDA source *)
 
 type t = { label : string; build : build; inject : Fault.Injector.spec list }
-
-let dev options = Dev options
 
 let with_inject inject t = { t with inject }
 
@@ -18,53 +18,36 @@ let with_inject inject t = { t with inject }
 let build_fingerprint = function
   | Llvm12 -> "llvm12"
   | Dev_noopt -> "dev-noopt"
-  | Dev options ->
-    "dev{" ^ Openmpopt.Pass_manager.options_fingerprint options ^ "}"
+  | Dev p -> "dev{" ^ Pipeline.fingerprint p ^ "}"
   | Cuda -> "cuda"
 
-let opts = Openmpopt.Pass_manager.default_options
+let spec s =
+  match Pipeline.of_string s with Ok p -> p | Error msg -> invalid_arg ("Config.spec: " ^ msg)
 
-(* Named option subsets, mirroring the bar labels of Figure 11. *)
-let only_h2s =
-  {
-    opts with
-    Openmpopt.Pass_manager.disable_spmdization = true;
-    disable_state_machine_rewrite = true;
-    disable_folding = true;
-    disable_heap_to_shared = true;
-  }
+(* Named pass subsets, mirroring the bar labels of Figure 11: the full
+   pipeline with the switched-off optimizations' passes left out. *)
+let only_h2s = spec "internalize,deglobalize,cleanup@3!noshared"
+let h2s2 = spec "internalize,deglobalize,cleanup@3"
+let h2s2_rtc = spec "internalize,fold,deglobalize,fold-late,dedup,dead-regions,cleanup@3"
 
-let h2s2 =
-  {
-    opts with
-    Openmpopt.Pass_manager.disable_spmdization = true;
-    disable_state_machine_rewrite = true;
-    disable_folding = true;
-  }
+let h2s2_rtc_csm =
+  spec "internalize,fold,deglobalize,state-machine,fold-late,dedup,dead-regions,cleanup@3"
 
-let h2s2_rtc =
-  {
-    opts with
-    Openmpopt.Pass_manager.disable_spmdization = true;
-    disable_state_machine_rewrite = true;
-  }
+let h2s2_rtc_spmd =
+  spec "internalize,fold,deglobalize,spmdize,fold-late,dedup,dead-regions,cleanup@3"
 
-let h2s2_rtc_csm = { opts with Openmpopt.Pass_manager.disable_spmdization = true }
-
-let h2s2_rtc_spmd = { opts with Openmpopt.Pass_manager.disable_state_machine_rewrite = true }
-
-let dev_full = opts
+let dev_full = Pipeline.full
 
 let mk label build = { label; build; inject = [] }
 
 let llvm12 = mk "LLVM 12" Llvm12
 let no_opt = mk "No OpenMP Optimization" Dev_noopt
-let heap_2_stack = mk "heap-2-stack" (dev only_h2s)
-let h2s2_cfg = mk "heap-2-stack&shared (=h2s2)" (dev h2s2)
-let h2s2_rtc_cfg = mk "h2s2 + RTCspec" (dev h2s2_rtc)
-let h2s2_rtc_csm_cfg = mk "h2s2 + RTCspec + CSM" (dev h2s2_rtc_csm)
-let h2s2_rtc_spmd_cfg = mk "h2s2 + RTCspec + SPMDzation" (dev h2s2_rtc_spmd)
-let dev0 = mk "LLVM Dev 0" (dev dev_full)
+let heap_2_stack = mk "heap-2-stack" (Dev only_h2s)
+let h2s2_cfg = mk "heap-2-stack&shared (=h2s2)" (Dev h2s2)
+let h2s2_rtc_cfg = mk "h2s2 + RTCspec" (Dev h2s2_rtc)
+let h2s2_rtc_csm_cfg = mk "h2s2 + RTCspec + CSM" (Dev h2s2_rtc_csm)
+let h2s2_rtc_spmd_cfg = mk "h2s2 + RTCspec + SPMDzation" (Dev h2s2_rtc_spmd)
+let dev0 = mk "LLVM Dev 0" (Dev dev_full)
 let cuda = mk "CUDA (Clang Dev)" Cuda
 
 (* The configuration set used for each application's Figure 11 plot ("we

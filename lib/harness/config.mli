@@ -3,7 +3,8 @@
 type build =
   | Llvm12  (** legacy globalization, no OpenMP-aware middle end *)
   | Dev_noopt  (** simplified globalization, explicit OpenMP opts disabled *)
-  | Dev of Openmpopt.Pass_manager.options  (** simplified + a pass subset *)
+  | Dev of Openmpopt.Pass_manager.Pipeline.t
+      (** simplified + a pipeline (a subset of passes) *)
   | Cuda  (** kernel-style build of the CUDA source *)
 
 type t = {
@@ -14,26 +15,29 @@ type t = {
           injector from these so batch results are schedule-independent *)
 }
 
-val dev : Openmpopt.Pass_manager.options -> build
-
 val with_inject : Fault.Injector.spec list -> t -> t
 (** The same configuration with fault injection armed.  Injection joins the
     cache key (via the derived injector's fingerprint), so injected and
     clean runs never share cached results. *)
 
 val build_fingerprint : build -> string
-(** Content identity of a build for the scheduler's result cache.  Excludes
-    the display label: configs that differ only in label share cache
+(** Content identity of a build for the scheduler's result cache
+    ([dev{pipeline:...}] for a [Dev] build).  Excludes the display label
+    and the pipeline's name: configs that differ only in those share cache
     entries. *)
 
-(** Named option subsets mirroring the bar labels of Figure 11. *)
+val spec : string -> Openmpopt.Pass_manager.Pipeline.t
+(** [Pipeline.of_string] for specs written into the program; raises
+    [Invalid_argument] on a malformed one. *)
 
-val only_h2s : Openmpopt.Pass_manager.options
-val h2s2 : Openmpopt.Pass_manager.options
-val h2s2_rtc : Openmpopt.Pass_manager.options
-val h2s2_rtc_csm : Openmpopt.Pass_manager.options
-val h2s2_rtc_spmd : Openmpopt.Pass_manager.options
-val dev_full : Openmpopt.Pass_manager.options
+(** Named pass subsets mirroring the bar labels of Figure 11. *)
+
+val only_h2s : Openmpopt.Pass_manager.Pipeline.t
+val h2s2 : Openmpopt.Pass_manager.Pipeline.t
+val h2s2_rtc : Openmpopt.Pass_manager.Pipeline.t
+val h2s2_rtc_csm : Openmpopt.Pass_manager.Pipeline.t
+val h2s2_rtc_spmd : Openmpopt.Pass_manager.Pipeline.t
+val dev_full : Openmpopt.Pass_manager.Pipeline.t
 
 val llvm12 : t
 val no_opt : t

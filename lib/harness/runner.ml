@@ -25,8 +25,8 @@ type outcome = Ok of metrics | Err of Fault.Ompgpu_error.t
 
 type measurement = { app : string; config : Config.t; outcome : outcome }
 
-(* Front-end compile only: the returned options say whether (and how) the
-   OpenMP-aware pipeline still has to run.  Splitting the front end from the
+(* Front-end compile only: the returned pipeline says whether (and how) the
+   OpenMP-aware optimizer still has to run.  Splitting the front end from the
    middle end lets the cached path content-address the *unoptimized* module
    text and skip the optimize+simulate work on a hit. *)
 let frontend_for (config : Config.t) (app : Proxyapps.App.t)
@@ -39,9 +39,9 @@ let frontend_for (config : Config.t) (app : Proxyapps.App.t)
   | Config.Dev_noopt ->
     let src = app.Proxyapps.App.omp_source scale in
     (Frontend.Codegen.compile ~scheme:Frontend.Codegen.Simplified ~file src, None)
-  | Config.Dev options ->
+  | Config.Dev pipeline ->
     let src = app.Proxyapps.App.omp_source scale in
-    (Frontend.Codegen.compile ~scheme:Frontend.Codegen.Simplified ~file src, Some options)
+    (Frontend.Codegen.compile ~scheme:Frontend.Codegen.Simplified ~file src, Some pipeline)
   | Config.Cuda ->
     let src = app.Proxyapps.App.cuda_source scale in
     (Frontend.Codegen.compile ~scheme:Frontend.Codegen.Cuda ~file src, None)
@@ -58,10 +58,10 @@ let compile_for ?trace ?injector ?perf ~plabel (config : Config.t)
     (app : Proxyapps.App.t) (scale : Proxyapps.App.scale) =
   match prof perf ~plabel "frontend" (fun () -> frontend_for config app scale) with
   | m, None -> (m, None)
-  | m, Some options ->
+  | m, Some pipeline ->
     let report =
       prof perf ~plabel "optimize" (fun () ->
-          Openmpopt.Pass_manager.run ~options ?injector ?trace m)
+          Openmpopt.Pass_manager.run_pipeline ~pipeline ?injector ?trace m)
     in
     (m, Some report)
 
@@ -138,7 +138,7 @@ let scale_fingerprint = function
 
 (* The content address of one pipeline job (docs/SCHEDULER.md): the
    unoptimized MiniIR text plus everything else that determines the
-   measurement — the build (pass options), the simulated machine, the
+   measurement — the build (its pipeline), the simulated machine, the
    problem scale, and the (derived) fault-injector fingerprint: an injected
    run must never share a cached result with a clean one, nor with a
    different seed.  The app name is deliberately NOT part of the key. *)
@@ -189,7 +189,7 @@ let run ?(machine = Gpusim.Machine.bench_machine) ?(scale = Proxyapps.App.Bench)
          Front-end failures produce no module, hence no key: not cached. *)
       match prof perf ~plabel "frontend" (fun () -> frontend_for config app scale) with
       | exception e -> classify ~phase:Fault.Ompgpu_error.Lowering e
-      | m, options ->
+      | m, pipeline ->
         let key =
           cache_key ~machine ~scale ~inject:(Fault.Injector.fingerprint injector) m
             config
@@ -198,9 +198,9 @@ let run ?(machine = Gpusim.Machine.bench_machine) ?(scale = Proxyapps.App.Bench)
             match
               prof perf ~plabel "optimize" (fun () ->
                   Option.map
-                    (fun options ->
-                      Openmpopt.Pass_manager.run ~options ~injector ?trace m)
-                    options)
+                    (fun pipeline ->
+                      Openmpopt.Pass_manager.run_pipeline ~pipeline ~injector ?trace m)
+                    pipeline)
             with
             | exception e -> classify ~phase:Fault.Ompgpu_error.Optimizing e
             | report -> measure ~machine ~trace ~injector ?scratch ?perf ~plabel m report))

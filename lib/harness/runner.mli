@@ -38,7 +38,7 @@ val cache_key :
   Config.t ->
   string
 (** Content address of one pipeline job: digest of the unoptimized MiniIR
-    module text, the build fingerprint (pass options), the machine
+    module text, the build fingerprint (its pipeline), the machine
     description, the scale and the fault-injector fingerprint ([inject],
     default [""] = no injection).  Exposed for the test suite; the exact
     definition is documented in docs/SCHEDULER.md. *)

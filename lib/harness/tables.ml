@@ -194,13 +194,18 @@ let pass_breakdown_all ?machine ?scale () =
 
 let ablation_configs =
   [
-    ("full pipeline", Openmpopt.Pass_manager.default_options);
+    ("full pipeline", Config.dev_full);
     ( "no guard grouping (Fig. 7 off)",
-      { Openmpopt.Pass_manager.default_options with disable_guard_grouping = true } );
+      Config.spec
+        "internalize,fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3!nogroup"
+    );
     ( "no internalization",
-      { Openmpopt.Pass_manager.default_options with disable_internalization = true } );
+      Config.spec "fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3"
+    );
     ( "no heap-to-shared",
-      { Openmpopt.Pass_manager.default_options with disable_heap_to_shared = true } );
+      Config.spec
+        "internalize,fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3!noshared"
+    );
   ]
 
 let ablations ?machine ?scale ?pool ?cache () =
@@ -208,8 +213,8 @@ let ablations ?machine ?scale ?pool ?cache () =
     List.concat_map
       (fun app ->
         List.map
-          (fun (label, options) ->
-            (app, { Config.label; build = Config.dev options; inject = [] }))
+          (fun (label, pipeline) ->
+            (app, { Config.label; build = Config.Dev pipeline; inject = [] }))
           ablation_configs)
       Proxyapps.Apps.all
   in

@@ -6,7 +6,7 @@
     call, so a table is byte-identical whether it was produced sequentially
     or on a [pool] at any [-j], and concurrent renderers cannot corrupt
     each other's output.  [cache] shares pipeline results across tables
-    that measure the same (module, options, machine, scale) cell. *)
+    that measure the same (module, pipeline, machine, scale) cell. *)
 
 val fig9 :
   ?machine:Gpusim.Machine.t ->
@@ -57,6 +57,9 @@ val pass_breakdown :
 
 val pass_breakdown_all :
   ?machine:Gpusim.Machine.t -> ?scale:Proxyapps.App.scale -> unit -> string
+
+val ablation_configs : (string * Openmpopt.Pass_manager.Pipeline.t) list
+(** The ablation rows: label and the pipeline each runs. *)
 
 val ablations :
   ?machine:Gpusim.Machine.t ->

@@ -1,13 +1,15 @@
-(* Wire protocol v2 (see the .mli and docs/API.md).
+(* Wire protocol v3 (see the .mli and docs/API.md).
 
-   v2 (api_version 2): the config object gained an optional "pipeline"
-   member — a pipeline spec string (Pass_manager.Pipeline.of_string) that
-   supersedes "optimize"/"disable" and may not be combined with them. *)
+   v3 (api_version 3): the config object's optional "pipeline" member — a
+   pipeline spec string (Pass_manager.Pipeline.of_string) — is the only
+   way to select passes; absent means O0.  The v1/v2 "optimize"/"disable"
+   members are rejected rather than ignored, so a stale client cannot be
+   silently served unoptimized code. *)
 
 module J = Observe.Json
 module E = Fault.Ompgpu_error
 
-let version = 2
+let version = 3
 
 type request =
   | Compile of {
@@ -34,49 +36,16 @@ type response =
 (* Config codec                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The disable list names the paper artifact's pass toggles; absent
-   members mean "default", so old clients keep working as fields grow. *)
-let disable_names =
-  [
-    ("spmdization", (fun (o : Openmpopt.Pass_manager.options) -> o.disable_spmdization));
-    ("deglobalization", fun o -> o.disable_deglobalization);
-    ("state-machine-rewrite", fun o -> o.disable_state_machine_rewrite);
-    ("folding", fun o -> o.disable_folding);
-    ("internalization", fun o -> o.disable_internalization);
-    ("guard-grouping", fun o -> o.disable_guard_grouping);
-    ("heap-to-shared", fun o -> o.disable_heap_to_shared);
-  ]
-
-let apply_disable (o : Openmpopt.Pass_manager.options) = function
-  | "spmdization" -> Ok { o with disable_spmdization = true }
-  | "deglobalization" -> Ok { o with disable_deglobalization = true }
-  | "state-machine-rewrite" -> Ok { o with disable_state_machine_rewrite = true }
-  | "folding" -> Ok { o with disable_folding = true }
-  | "internalization" -> Ok { o with disable_internalization = true }
-  | "guard-grouping" -> Ok { o with disable_guard_grouping = true }
-  | "heap-to-shared" -> Ok { o with disable_heap_to_shared = true }
-  | s -> Error (Printf.sprintf "unknown pass toggle %S" s)
-
 let config_to_json (c : Ompgpu_api.Config.t) =
   J.Obj
     ([ ("scheme", J.String (Frontend.Codegen.scheme_name c.scheme)) ]
-    (* an explicit pipeline travels as its spec string and replaces the
-       legacy optimize/disable members (they may not be combined) *)
+    (* the pipeline travels as its spec string, a builtin by its bare name
+       (as short as the v2 toggles were); O0 omits the member *)
     @ (match c.pipeline with
       | Some p ->
-        [ ("pipeline", J.String (Openmpopt.Pass_manager.Pipeline.to_string p)) ]
-      | None -> (
-        [ ("optimize", J.Bool (c.options <> None)) ]
-        @
-        match c.options with
-        | Some o ->
-          let disabled =
-            List.filter_map
-              (fun (name, get) -> if get o then Some (J.String name) else None)
-              disable_names
-          in
-          if disabled = [] then [] else [ ("disable", J.List disabled) ]
-        | None -> []))
+        let module P = Openmpopt.Pass_manager.Pipeline in
+        [ ("pipeline", J.String (if P.find p.name = Some p then p.name else P.to_string p)) ]
+      | None -> [])
     @ [
         ("emit_ir", J.Bool c.emit_ir);
         ("run", J.Bool c.run_sim);
@@ -110,48 +79,26 @@ let config_of_json j =
     | Some (J.String "cuda") -> Ok Frontend.Codegen.Cuda
     | Some _ -> Error "config.scheme: expected simplified|legacy|cuda"
   in
+  (* unknown members are ignored, so the retired toggles must be refused
+     by name: ignoring "optimize": true would compile at O0 without a word *)
+  let* () =
+    match List.find_opt (fun k -> J.member k j <> None) [ "optimize"; "disable" ] with
+    | Some k ->
+      Error
+        (Printf.sprintf
+           "config.%s: retired in protocol v%d; select passes with \"pipeline\" \
+            (e.g. \"pipeline\": \"full\")"
+           k version)
+    | None -> Ok ()
+  in
   let* pipeline =
     match J.member "pipeline" j with
     | None -> Ok None
     | Some (J.String s) -> (
-      if J.member "optimize" j <> None || J.member "disable" j <> None then
-        Error "config.pipeline: may not be combined with \"optimize\"/\"disable\""
-      else
-        match Openmpopt.Pass_manager.Pipeline.of_string s with
-        | Ok p -> Ok (Some p)
-        | Error msg -> Error ("config.pipeline: " ^ msg))
+      match Openmpopt.Pass_manager.Pipeline.of_string s with
+      | Ok p -> Ok (Some p)
+      | Error msg -> Error ("config.pipeline: " ^ msg))
     | Some _ -> Error "config.pipeline: expected a pipeline spec string"
-  in
-  let* optimize = bool_member "optimize" false in
-  let* options =
-    if not optimize then
-      match J.member "disable" j with
-      | Some _ -> Error "config.disable: requires \"optimize\": true"
-      | None -> Ok None
-    else
-      let* disabled =
-        match J.member "disable" j with
-        | None -> Ok []
-        | Some (J.List items) ->
-          List.fold_left
-            (fun acc item ->
-              let* acc = acc in
-              match item with
-              | J.String s -> Ok (s :: acc)
-              | _ -> Error "config.disable: expected a list of strings")
-            (Ok []) items
-          |> Result.map List.rev
-        | Some _ -> Error "config.disable: expected a list of strings"
-      in
-      let* options =
-        List.fold_left
-          (fun acc name ->
-            let* o = acc in
-            apply_disable o name)
-          (Ok Openmpopt.Pass_manager.default_options)
-          disabled
-      in
-      Ok (Some options)
   in
   let* emit_ir = bool_member "emit_ir" d.Ompgpu_api.Config.emit_ir in
   let* run_sim = bool_member "run" d.Ompgpu_api.Config.run_sim in
@@ -192,7 +139,6 @@ let config_of_json j =
   Ok
     {
       Ompgpu_api.Config.scheme;
-      options;
       pipeline;
       emit_ir;
       run_sim;
@@ -431,26 +377,29 @@ let max_frame_bytes = 8 * 1024 * 1024
    line, garbage bytes, or hang up mid-frame, and the worst it gets is a
    structured [Bad_request] (and, for oversized frames, a severed
    connection — the unread remainder of the line cannot be resynchronized
-   against). *)
-let read_message ic =
+   against).  [read_frame] keeps the raw bytes for relays that must not
+   re-encode; [read_message] decodes them. *)
+let read_frame ic =
   let buf = Buffer.create 256 in
   let rec fill () =
     match In_channel.input_char ic with
     | None -> if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
     | Some '\n' -> `Line (Buffer.contents buf)
     | Some c ->
-      if Buffer.length buf >= max_frame_bytes then `Over
+      if Buffer.length buf >= max_frame_bytes then
+        `Overflow
+          (bad_request "oversized frame: request line exceeds %d bytes"
+             max_frame_bytes)
       else begin
         Buffer.add_char buf c;
         fill ()
       end
   in
-  match fill () with
-  | `Eof -> `Eof
-  | `Over ->
-    `Overflow
-      (bad_request "oversized frame: request line exceeds %d bytes"
-         max_frame_bytes)
+  fill ()
+
+let read_message ic =
+  match read_frame ic with
+  | (`Eof | `Overflow _) as r -> r
   | `Line line -> (
     (* EOF before the newline lands here too: the truncated frame is
        decoded best-effort and, being torn JSON, rejected structurally *)
@@ -458,7 +407,9 @@ let read_message ic =
     | Ok j -> `Msg (Ok j)
     | Error msg -> `Msg (Error (bad_request "unparseable request: %s" msg)))
 
-let write_message oc j =
-  Out_channel.output_string oc (J.to_string ~minify:true j);
+let write_line oc line =
+  Out_channel.output_string oc line;
   Out_channel.output_char oc '\n';
   Out_channel.flush oc
+
+let write_message oc j = write_line oc (J.to_string ~minify:true j)

@@ -1,16 +1,17 @@
-(** Wire protocol v2 of the persistent compile service ([mompd]).
+(** Wire protocol v3 of the persistent compile service ([mompd]).
 
     Transport: newline-delimited JSON over a Unix-domain stream socket.
     Each request is one minified JSON object terminated by ['\n']; the
     server answers each request with exactly one response line, in request
     order per connection.  A connection carries any number of requests.
 
-    v2 (api_version 2): the compile config gained an optional ["pipeline"]
-    member — a pipeline spec string ([Pipeline.of_string]) superseding the
-    legacy ["optimize"]/["disable"] pair, which remain accepted on their
-    own but may not be combined with it.
+    v3 (api_version 3): the compile config's optional ["pipeline"] member —
+    a pipeline spec string ([Pipeline.of_string]) — is the only way to
+    select passes; without it the compile runs at O0.  The v2
+    ["optimize"]/["disable"] members are rejected with [Bad_request],
+    naming ["pipeline"] as the replacement.
 
-    Every message carries [{"v": 2, ...}]; the server rejects other
+    Every message carries [{"v": 3, ...}]; the server rejects other
     versions with a structured [Bad_request].  Requests carry a
     client-chosen ["id"] echoed verbatim in the response, so pipelined
     clients can match answers to questions.
@@ -29,7 +30,7 @@
     fixtures in test/test_service.ml pin the encoding. *)
 
 val version : int
-(** 2.  Breaking wire changes bump this; the server answers exactly the
+(** 3.  Breaking wire changes bump this; the server answers exactly the
     versions it supports and rejects the rest ([Bad_request], exit 42). *)
 
 val max_frame_bytes : int
@@ -79,7 +80,9 @@ type response =
 val config_to_json : Ompgpu_api.Config.t -> Observe.Json.t
 val config_of_json : Observe.Json.t -> (Ompgpu_api.Config.t, string) result
 (** Omitted members take {!Ompgpu_api.Config.default}s, so a minimal
-    request is [{"v":2,"id":"x","op":"compile","source":"..."}]. *)
+    request is [{"v":3,"id":"x","op":"compile","source":"..."}].  Unknown
+    members are ignored, except the retired ["optimize"]/["disable"],
+    which are an [Error] naming ["pipeline"]. *)
 
 val request_to_json : request -> Observe.Json.t
 val request_of_json :
@@ -90,6 +93,14 @@ val request_of_json :
 val response_to_json : response -> Observe.Json.t
 val response_of_json :
   Observe.Json.t -> (response, string) result
+
+val read_frame :
+  in_channel ->
+  [ `Eof | `Line of string | `Overflow of Fault.Ompgpu_error.t ]
+(** Read one newline-terminated line, raw: the framing (and the limits) of
+    {!read_message} without decoding, for relays that must forward the
+    original bytes.  [`Line] also covers EOF mid-frame (the torn bytes);
+    [`Overflow] carries the [Bad_request] to answer before severing. *)
 
 val read_message :
   in_channel ->
@@ -102,5 +113,8 @@ val read_message :
     connection), and a torn or garbage line (including EOF mid-frame) is
     [`Msg (Error bad_request)]. *)
 
+val write_line : out_channel -> string -> unit
+(** Write one line (the newline is appended) and flush. *)
+
 val write_message : out_channel -> Observe.Json.t -> unit
-(** Write one minified line and flush. *)
+(** Write one minified JSON line and flush. *)

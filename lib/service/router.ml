@@ -425,28 +425,6 @@ let candidates t key =
     match order with [] -> [] | _ :: tl -> tl
   else order
 
-(* Bounded raw-line framing: the same limits as [Protocol.read_message],
-   but keeping the original bytes so the relay cannot re-encode. *)
-let read_frame ic =
-  let buf = Buffer.create 256 in
-  let rec fill () =
-    match In_channel.input_char ic with
-    | None -> if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
-    | Some '\n' -> `Line (Buffer.contents buf)
-    | Some c ->
-      if Buffer.length buf >= Protocol.max_frame_bytes then `Overflow
-      else begin
-        Buffer.add_char buf c;
-        fill ()
-      end
-  in
-  fill ()
-
-let write_line oc line =
-  Out_channel.output_string oc line;
-  Out_channel.output_char oc '\n';
-  Out_channel.flush oc
-
 (* One request relayed to one shard over a fresh connection: the client's
    original line out, the shard's response line back, both verbatim. *)
 let relay_once t shard line =
@@ -464,12 +442,12 @@ let relay_once t shard line =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        write_line (Unix.out_channel_of_descr fd) line;
-        read_frame (Unix.in_channel_of_descr fd))
+        Protocol.write_line (Unix.out_channel_of_descr fd) line;
+        Protocol.read_frame (Unix.in_channel_of_descr fd))
   with
   | `Line resp -> Ok resp
   | `Eof -> Error "connection closed before a response arrived"
-  | `Overflow -> Error "oversized response frame"
+  | `Overflow _ -> Error "oversized response frame"
   | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
   | exception Sys_error msg -> Error msg
   | exception Sys_blocked_io -> Error "relay deadline exceeded"
@@ -702,7 +680,7 @@ let fleet_json t =
 (* ------------------------------------------------------------------ *)
 
 let respond_raw t oc line =
-  write_line oc line;
+  Protocol.write_line oc line;
   locked t (fun () -> t.counters.served <- t.counters.served + 1)
 
 let respond t oc response =
@@ -771,19 +749,11 @@ let handle_connection t fd =
     locked t (fun () -> t.counters.bad_requests <- t.counters.bad_requests + 1)
   in
   let rec loop () =
-    match read_frame ic with
+    match Protocol.read_frame ic with
     | `Eof -> ()
-    | `Overflow ->
+    | `Overflow error ->
       bad ();
-      respond t oc
-        (Protocol.Rejected
-           {
-             id = None;
-             error =
-               E.make E.Bad_request ~phase:E.Serving
-                 (Printf.sprintf "oversized frame: request line exceeds %d bytes"
-                    Protocol.max_frame_bytes);
-           })
+      respond t oc (Protocol.Rejected { id = None; error })
       (* the unread remainder cannot be resynchronized against: sever *)
     | `Line raw ->
       (match J.of_string raw with

@@ -470,18 +470,14 @@ let tier_eligible t (config : Ompgpu_api.Config.t) =
   t.cfg.tiered && disk_eligible config
   && config.Ompgpu_api.Config.inject = []
   &&
-  match Ompgpu_api.Config.pipeline_of config with
+  match config.Ompgpu_api.Config.pipeline with
   | Some p ->
     Openmpopt.Pass_manager.Pipeline.same_semantics p
       Openmpopt.Pass_manager.Pipeline.full
   | None -> false
 
-let fast_config (config : Ompgpu_api.Config.t) =
-  {
-    config with
-    Ompgpu_api.Config.options = None;
-    pipeline = Some Openmpopt.Pass_manager.Pipeline.fast;
-  }
+let fast_config config =
+  Ompgpu_api.Config.with_pipeline Openmpopt.Pass_manager.Pipeline.fast config
 
 (* Fast-tier disk entries live under a derived key, not the request's: a
    non-tiered daemon or a one-shot mompc sharing the --cache-dir looks up

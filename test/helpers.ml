@@ -12,7 +12,7 @@ let verify m =
 (* Verify after EVERY pipeline pass, not just at the end: the trace layer
    fires an event per executed pass, so a verifier failure is pinned to the
    offending pass and round instead of to "somewhere in the pipeline". *)
-let optimize ?(options = Openmpopt.Pass_manager.default_options) m =
+let optimize ?(pipeline = Openmpopt.Pass_manager.Pipeline.full) m =
   let trace =
     Observe.Trace.create
       ~on_event:(fun (e : Observe.Trace.event) ->
@@ -23,7 +23,7 @@ let optimize ?(options = Openmpopt.Pass_manager.default_options) m =
             e.Observe.Trace.pass e.Observe.Trace.round msg)
       ()
   in
-  let report = Openmpopt.Pass_manager.run ~options ~trace m in
+  let report = Openmpopt.Pass_manager.run_pipeline ~pipeline ~trace m in
   verify m;
   report
 
@@ -33,12 +33,10 @@ let simulate ?(machine = Gpusim.Machine.test_machine) m =
   sim
 
 (* Compile (+ optionally optimize) and return the sorted observable trace. *)
-let run_trace ?(scheme = Frontend.Codegen.Simplified) ?options src =
+let run_trace ?(scheme = Frontend.Codegen.Simplified) ?pipeline src =
   let m = compile ~scheme src in
   verify m;
-  (match options with
-  | Some options -> ignore (optimize ~options m)
-  | None -> ());
+  Option.iter (fun pipeline -> ignore (optimize ~pipeline m)) pipeline;
   let sim = simulate m in
   Gpusim.Interp.trace_values sim
   |> List.map (fun v ->
@@ -51,7 +49,7 @@ let run_trace ?(scheme = Frontend.Codegen.Simplified) ?options src =
 let trace_testable = Alcotest.(list string)
 
 (* Assert that every configuration of a program observes the same trace. *)
-let assert_same_trace ?(schemes = [ Frontend.Codegen.Simplified ]) ?(option_sets = []) src =
+let assert_same_trace ?(schemes = [ Frontend.Codegen.Simplified ]) ?(pipelines = []) src =
   let base = run_trace src in
   List.iter
     (fun scheme ->
@@ -60,26 +58,32 @@ let assert_same_trace ?(schemes = [ Frontend.Codegen.Simplified ]) ?(option_sets
         base (run_trace ~scheme src))
     schemes;
   List.iter
-    (fun (label, options) ->
-      Alcotest.check trace_testable label base (run_trace ~options src))
-    option_sets
+    (fun (label, pipeline) ->
+      Alcotest.check trace_testable label base (run_trace ~pipeline src))
+    pipelines
 
+(* The full pipeline and one-optimization-off variants of it, the way the
+   paper's openmp-opt-disable-* flags switch passes off. *)
 let all_opt_variants =
-  let open Openmpopt.Pass_manager in
+  let spec = Harness.Config.spec in
   [
-    ("full", default_options);
-    ("no-spmd", { default_options with disable_spmdization = true });
-    ( "no-spmd,no-csm",
-      { default_options with disable_spmdization = true;
-        disable_state_machine_rewrite = true } );
-    ("no-deglob", { default_options with disable_deglobalization = true });
-    ("no-fold", { default_options with disable_folding = true });
-    ("no-group", { default_options with disable_guard_grouping = true });
-    ("no-internalize", { default_options with disable_internalization = true });
-    ("h2s-only", { default_options with disable_spmdization = true;
-                   disable_state_machine_rewrite = true; disable_folding = true;
-                   disable_heap_to_shared = true });
+    ("full", Openmpopt.Pass_manager.Pipeline.full);
+    ( "no-spmd",
+      spec "internalize,fold,deglobalize,state-machine,fold-late,dedup,dead-regions,cleanup@3" );
+    ("no-spmd,no-csm", spec "internalize,fold,deglobalize,fold-late,dedup,dead-regions,cleanup@3");
+    ( "no-deglob",
+      spec "internalize,fold,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3" );
+    ("no-fold", spec "internalize,deglobalize,spmdize,state-machine,cleanup@3");
+    ( "no-group",
+      spec
+        "internalize,fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3!nogroup"
+    );
+    ( "no-internalize",
+      spec "fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3" );
+    ("h2s-only", spec "internalize,deglobalize,cleanup@3!noshared");
   ]
+
+let variant name = List.assoc name all_opt_variants
 
 (* Property tests honour two environment variables so that CI (and bug
    reproduction) can pin the run:

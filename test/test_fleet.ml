@@ -30,7 +30,7 @@ let fresh_dir =
     Unix.mkdir path 0o755;
     path
 
-let config = A.Config.(default |> optimized |> with_sim)
+let config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim)
 
 let source =
   (Proxyapps.Apps.find_exn "xsbench").Proxyapps.App.omp_source Proxyapps.App.Tiny

@@ -39,17 +39,10 @@ let arb_case = QCheck.make gen_case ~print:render ~shrink:shrink_case
 (* ------------------------------------------------------------------ *)
 
 let configurations =
-  let open Openmpopt.Pass_manager in
-  [
-    (None : options option);
-    Some default_options;
-    Some { default_options with disable_spmdization = true };
-    Some
-      { default_options with disable_spmdization = true;
-        disable_state_machine_rewrite = true };
-    Some { default_options with disable_deglobalization = true };
-    Some { default_options with disable_guard_grouping = true };
-  ]
+  None
+  :: List.map
+       (fun v -> Some (Helpers.variant v))
+       [ "full"; "no-spmd"; "no-spmd,no-csm"; "no-deglob"; "no-group" ]
 
 (* a scheme whose divergence in this cell the ledger documents as a known
    unsoundness of the modeled era is exempt from the property *)
@@ -66,19 +59,15 @@ let prop_differential c =
     (fun scheme ->
       known_divergence scheme c
       || List.for_all
-           (fun options ->
-             let got =
-               match options with
-               | None -> Helpers.run_trace ~scheme src
-               | Some options -> Helpers.run_trace ~scheme ~options src
-             in
+           (fun pipeline ->
+             let got = Helpers.run_trace ~scheme ?pipeline src in
              if got <> reference then
                QCheck.Test.fail_reportf
                  "trace mismatch (scheme %s, mode %s, %s):@.got      %s@.expected \
                   %s@.program:@.%s"
                  (Frontend.Codegen.scheme_name scheme)
                  (Corpus.Gen.mode_name c.mode)
-                 (match options with None -> "no-opt" | Some _ -> "optimized")
+                 (match pipeline with None -> "no-opt" | Some _ -> "optimized")
                  (String.concat " " got) (String.concat " " reference) src
              else true)
            configurations)
@@ -88,8 +77,8 @@ let prop_differential c =
 let prop_idempotent c =
   let src = render c in
   let m = Helpers.compile src in
-  ignore (Openmpopt.Pass_manager.run m);
-  let second = Openmpopt.Pass_manager.run m in
+  ignore (Openmpopt.Pass_manager.run_pipeline m);
+  let second = Openmpopt.Pass_manager.run_pipeline m in
   let open Openmpopt.Pass_manager in
   if
     second.heap_to_stack <> 0 || second.heap_to_shared <> 0 || second.spmdized <> 0

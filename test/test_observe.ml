@@ -90,13 +90,10 @@ int main() {
 }
 |}
 
-let traced_run ?options src =
+let traced_run src =
   let m = Helpers.compile src in
   let tr = T.create () in
-  let options =
-    match options with Some o -> o | None -> Openmpopt.Pass_manager.default_options
-  in
-  let report = Openmpopt.Pass_manager.run ~options ~trace:tr m in
+  let report = Openmpopt.Pass_manager.run_pipeline ~trace:tr m in
   (m, report, T.events tr)
 
 let test_event_ordering () =
@@ -120,7 +117,7 @@ let test_delta_arithmetic () =
   let m = Helpers.compile spmd_src in
   let before = T.stats_of_module m in
   let tr = T.create () in
-  let report = Openmpopt.Pass_manager.run ~trace:tr m in
+  let report = Openmpopt.Pass_manager.run_pipeline ~trace:tr m in
   let after = T.stats_of_module m in
   let total =
     List.fold_left
@@ -171,21 +168,52 @@ let test_event_json_roundtrip () =
   (* and the whole trace parses back from its serialized form *)
   let m = Helpers.compile spmd_src in
   let tr = T.create () in
-  ignore (Openmpopt.Pass_manager.run ~trace:tr m);
+  ignore (Openmpopt.Pass_manager.run_pipeline ~trace:tr m);
   match J.of_string (J.to_string (T.to_json tr)) with
   | Ok (J.List l) ->
     Alcotest.(check int) "event count survives" (List.length (T.events tr)) (List.length l)
   | Ok _ -> Alcotest.fail "trace JSON is not a list"
   | Error msg -> Alcotest.failf "trace JSON re-parse failed: %s" msg
 
+(* A pass's [time_s] is its own wall time.  With a second domain busy
+   the whole call, a process CPU clock would charge that domain's work to
+   every pass and the sum would exceed the call's wall time. *)
+let test_pass_times_are_wall_time () =
+  if Domain.recommended_domain_count () < 2 then Alcotest.skip ();
+  let src = (Proxyapps.Apps.find_exn "miniqmc").Proxyapps.App.omp_source Proxyapps.App.Tiny in
+  let m = Helpers.compile src in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        let n = ref 0 in
+        while not (Atomic.get stop) do
+          incr n
+        done;
+        !n)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let tr = T.create () in
+  let t0 = Monotonic_clock.now () in
+  ignore (Openmpopt.Pass_manager.run_pipeline ~trace:tr m);
+  let wall_s = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
+  Atomic.set stop true;
+  ignore (Domain.join spinner);
+  let sum = List.fold_left (fun acc (e : T.event) -> acc +. e.time_s) 0. (T.events tr) in
+  Alcotest.(check bool)
+    (Printf.sprintf "summed pass time %.6fs within the call's wall time %.6fs" sum wall_s)
+    true (sum <= wall_s)
+
 (* ------------------------------------------------------------------ *)
 (* Simulator cost model                                                *)
 (* ------------------------------------------------------------------ *)
 
-let kernel_stats_of ?options src =
+let kernel_stats_of ?pipeline src =
   let m = Helpers.compile src in
   let report =
-    Option.map (fun options -> Helpers.optimize ~options m) options
+    Option.map (fun pipeline -> Helpers.optimize ~pipeline m) pipeline
   in
   let sim = Helpers.simulate m in
   match sim.Gpusim.Interp.kernel_stats with
@@ -229,10 +257,10 @@ int main() {
 }
 |}
   in
-  let options = Openmpopt.Pass_manager.default_options in
+  let pipeline = Openmpopt.Pass_manager.Pipeline.full in
   (* both kernels are SPMD by construction (combined parallel-for target) *)
-  let uniform, _ = kernel_stats_of ~options uniform_src in
-  let uneven, _ = kernel_stats_of ~options uneven_src in
+  let uniform, _ = kernel_stats_of ~pipeline uniform_src in
+  let uneven, _ = kernel_stats_of ~pipeline uneven_src in
   Alcotest.(check int) "uniform SPMD kernel has no divergence" 0
     uniform.Gpusim.Interp.divergent_branches;
   Alcotest.(check bool) "uneven trip counts diverge" true
@@ -265,13 +293,12 @@ int main() {
 |}
 
 let test_spmd_fewer_barriers_than_generic () =
-  let options_generic =
-    { Openmpopt.Pass_manager.default_options with disable_spmdization = true }
-  in
   let spmd, spmd_report =
-    kernel_stats_of ~options:Openmpopt.Pass_manager.default_options generic_teams_src
+    kernel_stats_of ~pipeline:Openmpopt.Pass_manager.Pipeline.full generic_teams_src
   in
-  let generic, _ = kernel_stats_of ~options:options_generic generic_teams_src in
+  let generic, _ =
+    kernel_stats_of ~pipeline:(Helpers.variant "no-spmd") generic_teams_src
+  in
   (match spmd_report with
   | Some r ->
     Alcotest.(check bool) "kernel was SPMDized" true (r.Openmpopt.Pass_manager.spmdized >= 1)
@@ -303,6 +330,7 @@ let suite =
     Alcotest.test_case "delta arithmetic" `Quick test_delta_arithmetic;
     Alcotest.test_case "ir_stats operations" `Quick test_ir_stats_ops;
     Alcotest.test_case "event json round-trip" `Quick test_event_json_roundtrip;
+    Alcotest.test_case "pass times are wall time" `Quick test_pass_times_are_wall_time;
     Alcotest.test_case "atomic counts" `Quick test_atomic_counts;
     Alcotest.test_case "divergence: uniform vs uneven" `Quick
       test_divergence_uniform_vs_uneven;

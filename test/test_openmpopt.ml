@@ -3,7 +3,7 @@
 
 open Openmpopt
 
-let default = Pass_manager.default_options
+let default = Pass_manager.Pipeline.full
 
 (* ------------------------------------------------------------------ *)
 (* HeapToStack / HeapToShared                                          *)
@@ -42,7 +42,7 @@ let test_heap_to_stack_fires () =
   in
   Alcotest.(check int) "no runtime allocations left" 0 count_allocs;
   Alcotest.check Helpers.trace_testable "semantics preserved" [ "f:56" ]
-    (Helpers.run_trace ~options:default h2s_src)
+    (Helpers.run_trace ~pipeline:default h2s_src)
 
 let test_heap_to_stack_remark () =
   let m = Helpers.compile h2s_src in
@@ -82,7 +82,7 @@ let test_heap_to_shared_fires () =
     (List.exists (fun r -> r.Remark.id = 111) report.Pass_manager.remarks);
   Alcotest.check Helpers.trace_testable "semantics preserved"
     [ "f:3"; "f:4"; "f:5"; "f:6" ]
-    (Helpers.run_trace ~options:default h2shared_src)
+    (Helpers.run_trace ~pipeline:default h2shared_src)
 
 let test_deglobalization_missed_remark () =
   (* an allocation that escapes to unknown code cannot be recovered *)
@@ -258,7 +258,7 @@ int main() {
   let ungrouped = Helpers.compile src in
   let r2 =
     Helpers.optimize
-      ~options:{ default with Pass_manager.disable_guard_grouping = true }
+      ~pipeline:(Helpers.variant "no-group")
       ungrouped
   in
   Alcotest.(check bool) "both SPMDized" true
@@ -267,10 +267,10 @@ int main() {
     (r1.Pass_manager.guards < r2.Pass_manager.guards);
   (* and both are correct *)
   Alcotest.check Helpers.trace_testable "grouped semantics" [ "f:35" ]
-    (Helpers.run_trace ~options:default src);
+    (Helpers.run_trace ~pipeline:default src);
   Alcotest.check Helpers.trace_testable "ungrouped semantics" [ "f:35" ]
     (Helpers.run_trace
-       ~options:{ default with Pass_manager.disable_guard_grouping = true }
+       ~pipeline:(Helpers.variant "no-group")
        src)
 
 let test_broadcast_of_guarded_values () =
@@ -300,17 +300,17 @@ int main() {
   in
   Alcotest.check Helpers.trace_testable "broadcast preserves semantics"
     (Helpers.run_trace src)
-    (Helpers.run_trace ~options:default src)
+    (Helpers.run_trace ~pipeline:default src)
 
 (* ------------------------------------------------------------------ *)
 (* Custom state machine                                                *)
 (* ------------------------------------------------------------------ *)
 
-let csm_options = { default with Pass_manager.disable_spmdization = true }
+let csm_pipeline = Helpers.variant "no-spmd"
 
 let test_csm_rewrites () =
   let m = Helpers.compile h2shared_src in
-  let report = Helpers.optimize ~options:csm_options m in
+  let report = Helpers.optimize ~pipeline:csm_pipeline m in
   Alcotest.(check int) "state machine rewritten" 1 report.Pass_manager.custom_state_machines;
   Alcotest.(check int) "no fallback needed" 0 report.Pass_manager.csm_fallbacks;
   let kernel = List.hd (Ir.Irmod.kernels m) in
@@ -324,7 +324,7 @@ let test_csm_rewrites () =
     (List.exists (fun r -> r.Remark.id = 130) report.Pass_manager.remarks);
   Alcotest.check Helpers.trace_testable "semantics preserved"
     [ "f:3"; "f:4"; "f:5"; "f:6" ]
-    (Helpers.run_trace ~options:csm_options h2shared_src)
+    (Helpers.run_trace ~pipeline:csm_pipeline h2shared_src)
 
 let test_csm_fallback_for_unknown_regions () =
   let src =
@@ -345,7 +345,7 @@ int main() {
   in
   let m = Helpers.compile src in
   (* also disable SPMDzation so the state machine survives to be rewritten *)
-  let report = Helpers.optimize ~options:csm_options m in
+  let report = Helpers.optimize ~pipeline:csm_pipeline m in
   if report.Pass_manager.custom_state_machines > 0 then begin
     Alcotest.(check int) "fallback kept" 1 report.Pass_manager.csm_fallbacks;
     Alcotest.(check bool) "OMP132 fallback remark" true
@@ -373,11 +373,11 @@ int main() {
 |}
   in
   let m = Helpers.compile src in
-  let report = Helpers.optimize ~options:csm_options m in
+  let report = Helpers.optimize ~pipeline:csm_pipeline m in
   Alcotest.(check int) "rewritten with two regions" 1
     report.Pass_manager.custom_state_machines;
   Alcotest.check Helpers.trace_testable "both regions dispatched by id" [ "f:12" ]
-    (Helpers.run_trace ~options:csm_options src)
+    (Helpers.run_trace ~pipeline:csm_pipeline src)
 
 (* ------------------------------------------------------------------ *)
 (* Folding                                                             *)
@@ -443,7 +443,7 @@ int main() {
   in
   Alcotest.check Helpers.trace_testable "main-only tid folds to 0"
     (Helpers.run_trace src)
-    (Helpers.run_trace ~options:default src)
+    (Helpers.run_trace ~pipeline:default src)
 
 (* ------------------------------------------------------------------ *)
 (* Internalization and simplify                                        *)
@@ -621,7 +621,7 @@ let differential_tests =
       Alcotest.test_case ("differential: " ^ name) `Quick (fun () ->
           Helpers.assert_same_trace
             ~schemes:[ Frontend.Codegen.Simplified; Frontend.Codegen.Legacy ]
-            ~option_sets:Helpers.all_opt_variants src))
+            ~pipelines:Helpers.all_opt_variants src))
     differential_programs
 
 let suite =

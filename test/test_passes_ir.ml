@@ -241,7 +241,7 @@ let test_kernel_without_regions () =
   (* SPMDzation still converts it (side effects guarded) *)
   Alcotest.(check int) "converted" 1 report.Pass_manager.spmdized;
   Alcotest.check Helpers.trace_testable "still computes" [ "f:3" ]
-    (Helpers.run_trace ~options:Pass_manager.default_options
+    (Helpers.run_trace ~pipeline:Pass_manager.Pipeline.full
        {|
 double Out[2];
 int main() {
@@ -257,10 +257,7 @@ int main() {
 
 let test_csm_on_kernel_without_regions () =
   let m = no_region_kernel () in
-  let options =
-    { Pass_manager.default_options with Pass_manager.disable_spmdization = true }
-  in
-  let report = Helpers.optimize ~options m in
+  let report = Helpers.optimize ~pipeline:(Helpers.variant "no-spmd") m in
   Alcotest.(check int) "no custom state machine built" 0
     report.Pass_manager.custom_state_machines;
   Alcotest.(check bool) "OMP133 notes the empty state machine" true
@@ -363,7 +360,7 @@ entry:
 }
 |}
   in
-  let report = Openmpopt.Pass_manager.run m in
+  let report = Openmpopt.Pass_manager.run_pipeline m in
   Alcotest.(check bool) "OMP100 flags the unknown runtime function" true
     (List.exists (fun r -> r.Remark.id = 100) report.Pass_manager.remarks)
 
@@ -390,15 +387,13 @@ int main() {
 |}
       assume assume
   in
-  let options =
-    { Pass_manager.default_options with Pass_manager.disable_spmdization = true }
-  in
+  let pipeline = Helpers.variant "no-spmd" in
   (* the externals could contain hidden parallel regions: fallback needed *)
   let m1 = Helpers.compile (src "") in
-  let r1 = Helpers.optimize ~options m1 in
+  let r1 = Helpers.optimize ~pipeline m1 in
   (* with omp_no_openmp on both, the cascade is complete *)
   let m2 = Helpers.compile (src "#pragma omp assume ext_no_openmp") in
-  let r2 = Helpers.optimize ~options m2 in
+  let r2 = Helpers.optimize ~pipeline m2 in
   Alcotest.(check int) "fallback without the assumption" 1 r1.Pass_manager.csm_fallbacks;
   Alcotest.(check int) "no fallback with ext_no_openmp" 0 r2.Pass_manager.csm_fallbacks
 

@@ -1,10 +1,9 @@
-(* The first-class pipeline surface (api_version 2).
+(* The pipeline surface, the only way to choose passes.
 
    Three things are pinned here: the spec grammar round-trips (property
    test over arbitrary pipelines), bad specs fail with the offending
-   token named, and the pipeline surface is identity-preserving — the
-   [full] builtin produces byte-identical compiles and the same cache
-   key as the legacy [optimized] toggle surface it supersedes. *)
+   token named, and the named builds — Figure 11 subsets, ablation rows,
+   the test suite's pass variants — keep their exact pass sequences. *)
 
 module P = Openmpopt.Pass_manager.Pipeline
 module A = Ompgpu_api
@@ -101,44 +100,80 @@ let test_bad_specs () =
   expect_error "invalid name" "no spaces=fold@1" "invalid pipeline name"
 
 (* ------------------------------------------------------------------ *)
-(* Identity: pipeline [full] == legacy [optimized]                     *)
+(* Named builds: pinned pass sequences                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_of_options_maps_to_full () =
-  let p = P.of_options Openmpopt.Pass_manager.default_options in
-  Alcotest.(check bool)
-    "default options are the full builtin" true (P.equal p P.full);
-  Alcotest.(check string)
-    "same fingerprint" (P.fingerprint P.full) (P.fingerprint p);
-  (* a disabled pass leaves the builtin set and loses the name *)
-  let p' =
-    P.of_options
-      { Openmpopt.Pass_manager.default_options with disable_spmdization = true }
-  in
-  Alcotest.(check string) "custom once toggled" "custom" p'.P.name;
-  Alcotest.(check bool)
-    "spmdize dropped" false (List.mem P.Spmdize p'.P.passes)
+(* Each named build's canonical spec.  These strings were recorded from
+   the boolean-toggle surface the builds were first written in, so they
+   also pin that every build kept its pass sequence (and its cache key)
+   when the toggles were deleted. *)
+let full_spec =
+  "full=internalize,fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3"
 
-let test_full_pipeline_byte_identical () =
-  (* the acceptance criterion for the redesign: an explicit
-     [with_pipeline full] config compiles to the exact bytes the legacy
-     [optimized] config produced, and shares its cache key *)
-  let file = "x.momp" in
-  let source = app_source "xsbench" in
-  let legacy = A.Config.(default |> optimized |> with_sim) in
-  let piped = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim) in
-  Alcotest.(check string)
-    "same config fingerprint"
-    (A.Config.fingerprint legacy) (A.Config.fingerprint piped);
-  Alcotest.(check string)
-    "same cache key"
-    (A.cache_key ~file ~config:legacy ~source)
-    (A.cache_key ~file ~config:piped ~source);
-  let a = A.compile_buffered ~config:legacy ~file source in
-  let b = A.compile_buffered ~config:piped ~file source in
-  Alcotest.(check int) "exit code" a.A.exit_code b.A.exit_code;
-  Alcotest.(check string) "stdout bytes" a.A.output b.A.output;
-  Alcotest.(check string) "stderr bytes" a.A.diagnostics b.A.diagnostics
+let migrated_goldens =
+  [
+    ("fig11 heap-2-stack", "custom=internalize,deglobalize,cleanup@3!noshared");
+    ("fig11 h2s2", "custom=internalize,deglobalize,cleanup@3");
+    ( "fig11 h2s2 + RTCspec",
+      "custom=internalize,fold,deglobalize,fold-late,dedup,dead-regions,cleanup@3" );
+    ( "fig11 h2s2 + RTCspec + CSM",
+      "custom=internalize,fold,deglobalize,state-machine,fold-late,dedup,dead-regions,cleanup@3"
+    );
+    ( "fig11 h2s2 + RTCspec + SPMDzation",
+      "custom=internalize,fold,deglobalize,spmdize,fold-late,dedup,dead-regions,cleanup@3" );
+    ("fig11 LLVM Dev 0", full_spec);
+    ("ablation full pipeline", full_spec);
+    ( "ablation no guard grouping (Fig. 7 off)",
+      "custom=internalize,fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3!nogroup"
+    );
+    ( "ablation no internalization",
+      "custom=fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3" );
+    ( "ablation no heap-to-shared",
+      "custom=internalize,fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3!noshared"
+    );
+    ("variant full", full_spec);
+    ( "variant no-spmd",
+      "custom=internalize,fold,deglobalize,state-machine,fold-late,dedup,dead-regions,cleanup@3"
+    );
+    ( "variant no-spmd,no-csm",
+      "custom=internalize,fold,deglobalize,fold-late,dedup,dead-regions,cleanup@3" );
+    ( "variant no-deglob",
+      "custom=internalize,fold,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3" );
+    ("variant no-fold", "custom=internalize,deglobalize,spmdize,state-machine,cleanup@3");
+    ( "variant no-group",
+      "custom=internalize,fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3!nogroup"
+    );
+    ( "variant no-internalize",
+      "custom=fold,deglobalize,spmdize,state-machine,fold-late,dedup,dead-regions,cleanup@3" );
+    ("variant h2s-only", "custom=internalize,deglobalize,cleanup@3!noshared");
+  ]
+
+let test_migrated_goldens () =
+  let module C = Harness.Config in
+  let builds =
+    [
+      ("fig11 heap-2-stack", C.heap_2_stack);
+      ("fig11 h2s2", C.h2s2_cfg);
+      ("fig11 h2s2 + RTCspec", C.h2s2_rtc_cfg);
+      ("fig11 h2s2 + RTCspec + CSM", C.h2s2_rtc_csm_cfg);
+      ("fig11 h2s2 + RTCspec + SPMDzation", C.h2s2_rtc_spmd_cfg);
+      ("fig11 LLVM Dev 0", C.dev0);
+    ]
+    |> List.map (fun (label, (c : C.t)) ->
+           match c.C.build with
+           | C.Dev p -> (label, p)
+           | _ -> Alcotest.failf "%s: not a Dev build" label)
+  in
+  let builds =
+    builds
+    @ List.map (fun (l, p) -> ("ablation " ^ l, p)) Harness.Tables.ablation_configs
+    @ List.map (fun (l, p) -> ("variant " ^ l, p)) Helpers.all_opt_variants
+  in
+  Alcotest.(check int) "every golden covered" (List.length migrated_goldens) (List.length builds);
+  List.iter
+    (fun (label, p) ->
+      Alcotest.(check string) label (List.assoc label migrated_goldens) (P.to_string p))
+    builds
 
 let test_fast_pipeline_differs () =
   (* the fast tier must be a real tier: cheaper identity, distinct cache
@@ -160,10 +195,7 @@ let suite =
     test_spec_roundtrip;
     Alcotest.test_case "builtins" `Quick test_builtins;
     Alcotest.test_case "bad-specs" `Quick test_bad_specs;
-    Alcotest.test_case "of-options-maps-to-full" `Quick
-      test_of_options_maps_to_full;
-    Alcotest.test_case "full-matches-legacy-optimized" `Quick
-      test_full_pipeline_byte_identical;
     Alcotest.test_case "fast-is-a-distinct-tier" `Quick
       test_fast_pipeline_differs;
+    Alcotest.test_case "migrated-build-goldens" `Quick test_migrated_goldens;
   ]

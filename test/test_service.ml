@@ -94,20 +94,20 @@ let test_request_goldens () =
   (* the wire version, the API version and the observability schema are
      three distinct version numbers; pin all three so a bump that forgets
      one of them fails here, not in a client *)
-  Alcotest.(check int) "api_version is 2" 2 A.api_version;
-  Alcotest.(check int) "protocol version is 2" 2 Service.Protocol.version;
+  Alcotest.(check int) "api_version is 3" 3 A.api_version;
+  Alcotest.(check int) "protocol version is 3" 3 Service.Protocol.version;
   Alcotest.(check int) "schema_version is 2" 2 J.schema_version;
   Alcotest.(check string)
-    "stats request" {|{"v":2,"id":"s1","op":"stats"}|}
+    "stats request" {|{"v":3,"id":"s1","op":"stats"}|}
     (wire (Service.Protocol.request_to_json (Service.Protocol.Stats { id = "s1" })));
   Alcotest.(check string)
-    "shutdown request" {|{"v":2,"id":"q1","op":"shutdown"}|}
+    "shutdown request" {|{"v":3,"id":"q1","op":"shutdown"}|}
     (wire
        (Service.Protocol.request_to_json (Service.Protocol.Shutdown { id = "q1" })));
   Alcotest.(check string)
     "compile request, default config"
-    ({|{"v":2,"id":"c1","op":"compile","file":"t.c","source":"int main() { return 0; }",|}
-    ^ {|"config":{"scheme":"simplified","optimize":false,"emit_ir":true,"run":false,|}
+    ({|{"v":3,"id":"c1","op":"compile","file":"t.c","source":"int main() { return 0; }",|}
+    ^ {|"config":{"scheme":"simplified","emit_ir":true,"run":false,|}
     ^ {|"remarks_only":false,"stats":false,"trace":false,"inject":[],"retries":0,|}
     ^ {|"backoff":0.050000000000000003,"backtrace":false}}|})
     (wire
@@ -128,7 +128,7 @@ let test_request_goldens () =
            id = "c2";
            file = "t.c";
            source = "x";
-           config = A.Config.(default |> optimized |> with_sim);
+           config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim);
            tenant = None;
          })
   in
@@ -138,7 +138,7 @@ let test_request_goldens () =
 
 let test_response_goldens () =
   Alcotest.(check string)
-    "shutdown ack" {|{"v":2,"id":"q1","op":"shutdown","ok":true}|}
+    "shutdown ack" {|{"v":3,"id":"q1","op":"shutdown","ok":true}|}
     (wire
        (Service.Protocol.response_to_json
           (Service.Protocol.Shutdown_ack { id = "q1" })));
@@ -167,13 +167,9 @@ let test_request_roundtrip () =
   let config =
     A.Config.(
       default |> with_scheme Frontend.Codegen.Legacy
-      |> optimized
-           ~options:
-             {
-               Openmpopt.Pass_manager.default_options with
-               disable_spmdization = true;
-               disable_heap_to_shared = true;
-             }
+      |> with_pipeline
+           (Harness.Config.spec
+              "internalize,fold,deglobalize,state-machine,fold-late,dedup,dead-regions,cleanup@3!noshared")
       |> with_sim |> with_stats
       |> with_retries ~backoff_s:0.25 2)
   in
@@ -218,68 +214,70 @@ let test_bad_requests () =
   reject "wrong version"
     (J.Obj [ ("v", J.Int 99); ("id", J.String "x"); ("op", J.String "stats") ])
     "version 99";
-  (* the v1 wire is gone: a v1 client gets a structured refusal naming
-     both versions, never a silently-different answer *)
+  (* older wires are gone: a v1 or v2 client gets a structured refusal
+     naming both versions, never a silently-different answer *)
   reject "v1 request"
     (J.Obj [ ("v", J.Int 1); ("id", J.String "x"); ("op", J.String "stats") ])
     "version 1";
-  reject "missing id" (J.Obj [ ("v", J.Int 2); ("op", J.String "stats") ]) "id";
+  reject "v2 request"
+    (J.Obj [ ("v", J.Int 2); ("id", J.String "x"); ("op", J.String "stats") ])
+    "unsupported protocol version 2 (this server speaks 3)";
+  reject "missing id" (J.Obj [ ("v", J.Int 3); ("op", J.String "stats") ]) "id";
   reject "unknown op"
-    (J.Obj [ ("v", J.Int 2); ("id", J.String "x"); ("op", J.String "explode") ])
+    (J.Obj [ ("v", J.Int 3); ("id", J.String "x"); ("op", J.String "explode") ])
     "explode";
   reject "compile without source"
-    (J.Obj [ ("v", J.Int 2); ("id", J.String "x"); ("op", J.String "compile") ])
+    (J.Obj [ ("v", J.Int 3); ("id", J.String "x"); ("op", J.String "compile") ])
     "source";
-  reject "bad pass toggle"
-    (J.Obj
-       [
-         ("v", J.Int 2);
-         ("id", J.String "x");
-         ("op", J.String "compile");
-         ("source", J.String "s");
-         ( "config",
-           J.Obj
-             [
-               ("optimize", J.Bool true); ("disable", J.List [ J.String "warp-speed" ]);
-             ] );
-       ])
-    "warp-speed";
+  let compile config =
+    J.Obj
+      [
+        ("v", J.Int 3);
+        ("id", J.String "x");
+        ("op", J.String "compile");
+        ("source", J.String "s");
+        ("config", J.Obj config);
+      ]
+  in
   (* pipeline spec errors surface as Bad_request with the offending pass
      named, exactly like the CLI's --pipeline validation *)
   reject "unknown pass in pipeline spec"
-    (J.Obj
-       [
-         ("v", J.Int 2);
-         ("id", J.String "x");
-         ("op", J.String "compile");
-         ("source", J.String "s");
-         ("config", J.Obj [ ("pipeline", J.String "internalize,warp-speed@2") ]);
-       ])
+    (compile [ ("pipeline", J.String "internalize,warp-speed@2") ])
     "warp-speed";
-  reject "pipeline combined with optimize"
-    (J.Obj
-       [
-         ("v", J.Int 2);
-         ("id", J.String "x");
-         ("op", J.String "compile");
-         ("source", J.String "s");
-         ( "config",
-           J.Obj [ ("pipeline", J.String "fast"); ("optimize", J.Bool true) ] );
-       ])
-    "may not be combined"
+  (* the retired v2 toggles are refused by name, not ignored: a stale
+     client's "optimize": true must never compile at O0 *)
+  reject "retired optimize member"
+    (compile [ ("optimize", J.Bool true) ])
+    "config.optimize: retired in protocol v3; select passes with \"pipeline\"";
+  reject "retired optimize member, false too"
+    (compile [ ("optimize", J.Bool false) ])
+    "config.optimize: retired";
+  reject "retired disable member"
+    (compile [ ("disable", J.List [ J.String "spmdization" ]) ])
+    "config.disable: retired in protocol v3; select passes with \"pipeline\"";
+  reject "retired toggle beside a pipeline"
+    (compile [ ("pipeline", J.String "fast"); ("optimize", J.Bool true) ])
+    "config.optimize: retired"
 
-(* an explicit pipeline replaces the legacy optimize/disable members on
-   the wire and survives the round trip with its identity intact *)
+(* a pipeline travels as its spec string and survives the round trip
+   with its identity intact; O0 omits the member *)
 let test_pipeline_on_the_wire () =
   let config = A.Config.(default |> with_pipeline A.Pipeline.fast) in
   let j = Service.Protocol.config_to_json config in
   Alcotest.(check (option string))
-    "pipeline member is the spec string"
-    (Some "fast=internalize,fold,cleanup@1")
+    "a builtin travels by its bare name" (Some "fast")
     (Option.bind (J.member "pipeline" j) J.to_str);
+  let custom = { A.Pipeline.fast with rounds = 2 } in
+  Alcotest.(check (option string))
+    "a pipeline that only shares a builtin's name travels as its full spec"
+    (Some "fast=internalize,fold,cleanup@2")
+    (Option.bind
+       (J.member "pipeline"
+          (Service.Protocol.config_to_json A.Config.(default |> with_pipeline custom)))
+       J.to_str);
   Alcotest.(check bool)
-    "legacy optimize member omitted" true
-    (J.member "optimize" j = None && J.member "disable" j = None);
+    "O0 omits the pipeline member" true
+    (J.member "pipeline" (Service.Protocol.config_to_json A.Config.default) = None);
   match Service.Protocol.config_of_json j with
   | Error e -> Alcotest.failf "pipeline config rejected: %s" e
   | Ok config' ->
@@ -303,7 +301,7 @@ let test_pipeline_on_the_wire () =
    daemon's answer must match the one-shot façade compile byte for byte
    (the acceptance criterion of the PR). *)
 let test_daemon_byte_identical () =
-  let config = A.Config.(default |> optimized |> with_sim |> with_stats) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim |> with_stats) in
   with_server @@ fun socket_path ->
   Service.Client.with_connection ~socket_path @@ fun c ->
   List.iter
@@ -316,7 +314,7 @@ let test_daemon_byte_identical () =
     all_app_names
 
 let test_daemon_warm_cache () =
-  let config = A.Config.(default |> optimized) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   let source = app_source "xsbench" in
   with_server @@ fun socket_path ->
   Service.Client.with_connection ~socket_path @@ fun c ->
@@ -360,7 +358,7 @@ let test_daemon_health () =
    produce exactly the bytes sequential one-shot compiles produce — no
    cross-request bleed through the shared pool, caches or counters. *)
 let test_daemon_concurrent_fan_in () =
-  let config = A.Config.(default |> optimized |> with_sim) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim) in
   let expected =
     List.map
       (fun name ->
@@ -430,8 +428,8 @@ let test_daemon_survives_pass_crash () =
     | Ok s -> s
     | Error m -> Alcotest.fail m
   in
-  let crash_config = A.Config.(default |> optimized |> with_inject [ spec ]) in
-  let clean_config = A.Config.(default |> optimized) in
+  let crash_config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_inject [ spec ]) in
+  let clean_config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   let source = app_source "su3bench" in
   let file = "s.momp" in
   with_server @@ fun socket_path ->
@@ -490,7 +488,7 @@ let rec wait_for_upgrades c ~target deadline =
    entry; and once the background upgrade lands, the served bytes are
    identical to a one-shot full-pipeline compile. *)
 let test_daemon_tier_upgrade () =
-  let config = A.Config.(default |> optimized) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   let source = app_source "xsbench" in
   let file = "x.momp" in
   let oneshot_full = A.compile_buffered ~config ~file source in
@@ -538,7 +536,7 @@ let test_daemon_tier_upgrade () =
 (* An untiered daemon must be wholly unaffected by the machinery: cold
    answers are full-pipeline bytes and the tiers counters stay zero. *)
 let test_daemon_untiered_unchanged () =
-  let config = A.Config.(default |> optimized) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   let source = app_source "su3bench" in
   let file = "s.momp" in
   let oneshot = A.compile_buffered ~config ~file source in
@@ -603,7 +601,7 @@ let with_source_file source f =
 (* [Ompgpu_api.compile_buffered] IS what mompc prints: same bytes, same
    exit code — the façade test the satellite asks for. *)
 let test_facade_matches_cli () =
-  let config = A.Config.(default |> optimized |> with_sim) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim) in
   with_source_file (app_source "rsbench") @@ fun path ->
   let facade = A.compile_buffered ~config ~file:path (app_source "rsbench") in
   let code, out, err =

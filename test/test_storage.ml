@@ -468,7 +468,7 @@ let test_daemon_disk_full_invisible () =
    entry was already evicted — the replace re-inserts it and the entry
    still converges to the exact full-pipeline bytes. *)
 let test_daemon_upgrade_survives_eviction () =
-  let config = A.Config.(default |> optimized) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   let app_a = "xsbench" and app_b = "su3bench" in
   let full_b =
     A.compile_buffered ~config ~file:(app_b ^ ".momp") (app_source app_b)
@@ -510,7 +510,7 @@ let test_daemon_upgrade_survives_eviction () =
    the next create restores it. *)
 let test_daemon_profile_restart_roundtrip () =
   let state_dir = temp_dir "hotprof" in
-  let config = A.Config.(default |> optimized) in
+  let config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   let app = "xsbench" in
   with_server ~tiered:true ~state_dir (fun socket_path ->
       Service.Client.with_connection ~socket_path @@ fun c ->

@@ -10,7 +10,7 @@ let run = Helpers.run_trace
 let test_while_in_kernel () =
   Helpers.assert_same_trace
     ~schemes:[ Frontend.Codegen.Simplified; Frontend.Codegen.Legacy ]
-    ~option_sets:Helpers.all_opt_variants
+    ~pipelines:Helpers.all_opt_variants
     {|
 long Out[8];
 int main() {
@@ -204,7 +204,7 @@ int main() {
   in
   Alcotest.check Helpers.trace_testable "per-team accumulators"
     [ "f:4"; "f:8" ]
-    (run ~options:Openmpopt.Pass_manager.default_options src)
+    (run ~pipeline:Openmpopt.Pass_manager.Pipeline.full src)
 
 let test_occupancy_monotone () =
   let cycles regs =
@@ -338,7 +338,7 @@ let suite =
 let test_ternary_on_device () =
   Helpers.assert_same_trace
     ~schemes:[ Frontend.Codegen.Simplified; Frontend.Codegen.Legacy ]
-    ~option_sets:Helpers.all_opt_variants
+    ~pipelines:Helpers.all_opt_variants
     {|
 long Out[8];
 int main() {

@@ -205,7 +205,7 @@ while [ "$n" -lt "$P3" ]; do
     1) printf '"hello-%d"\n' "$n" >> "$REQ"; bad=$((bad+1)) ;;
     2) printf '{"op":"nope","junk":%d}\n' "$n" >> "$REQ"; bad=$((bad+1)) ;;
     3) printf '[%d,2,3]\n' "$n" >> "$REQ"; bad=$((bad+1)) ;;
-    4) printf '{"v":2,"id":"ok%d","op":"stats"}\n' "$n" >> "$REQ"; good=$((good+1)) ;;
+    4) printf '{"v":3,"id":"ok%d","op":"stats"}\n' "$n" >> "$REQ"; good=$((good+1)) ;;
   esac
   n=$((n+1))
 done
@@ -238,14 +238,14 @@ s = conn()
 s.sendall(b"\x00\xff{{{ not json\n")
 r = s.makefile("rb").readline()
 assert b"bad-request" in r, r
-s.sendall(b'{"v":2,"id":"after","op":"stats"}\n')
+s.sendall(b'{"v":3,"id":"after","op":"stats"}\n')
 r = s.makefile("rb").readline()
 assert b'"ok":true' in r, r
 s.close()
 
 # torn frame: half a request then EOF -- rejection, clean close
 s = conn()
-s.sendall(b'{"v":2,"id":"torn","op":"sta')
+s.sendall(b'{"v":3,"id":"torn","op":"sta')
 s.shutdown(socket.SHUT_WR)
 r = s.makefile("rb").readline()
 assert b"bad-request" in r, r

@@ -15,7 +15,7 @@
    and warm and requiring byte-identity with in-process compilation;
    [--router] does the same through a fleet router fronting --shards
    supervised daemon shards (cold + warm, byte-identity required);
-   [--pipeline SPEC] (api_version 2) replays the matrix with an explicit
+   [--pipeline SPEC] replays the matrix with an explicit
    pipeline in the optimized column — `--pipeline fast` asserts the fast
    tier's deltas against the reference are all classified by the ledger,
    i.e. the tier introduces no NEW unsoundness; [--tiered] measures the

@@ -1,4 +1,6 @@
-(* Development tool: compile, optionally optimize, simulate, print stats. *)
+(* Development tool: compile, optionally optimize, simulate, print stats.
+   Usage: simrun FILE [SCHEME] [PIPELINE|noopt] [dump], where PIPELINE is a
+   pipeline spec ("full", "fast", or e.g. "internalize,fold,cleanup@3"). *)
 let () =
   let file = Sys.argv.(1) in
   let scheme = match (try Sys.argv.(2) with _ -> "simplified") with
@@ -6,23 +8,19 @@ let () =
     | "cuda" -> Frontend.Codegen.Cuda
     | _ -> Frontend.Codegen.Simplified
   in
-  let optarg = try Sys.argv.(3) with _ -> "" in
-  let opt = optarg <> "" && optarg <> "noopt" in
-  let has f = List.mem f (String.split_on_char ',' optarg) in
-  let options =
-    { Openmpopt.Pass_manager.default_options with
-      disable_spmdization = has "no-spmd";
-      disable_deglobalization = has "no-deglob";
-      disable_state_machine_rewrite = has "no-csm";
-      disable_folding = has "no-fold";
-      disable_guard_grouping = has "no-group";
-    }
+  let pipeline =
+    match (try Sys.argv.(3) with _ -> "") with
+    | "" | "noopt" -> None
+    | spec -> (
+      match Openmpopt.Pass_manager.Pipeline.of_string spec with
+      | Ok p -> Some p
+      | Error msg -> prerr_endline ("simrun: pipeline: " ^ msg); exit 2)
   in
   let src = In_channel.with_open_text file In_channel.input_all in
   let m = Frontend.Codegen.compile ~scheme ~file src in
   (match Ir.Verify.check m with Ok () -> () | Error e -> failwith ("pre-opt: " ^ e));
-  if opt then begin
-    let report = Openmpopt.Pass_manager.run ~options m in
+  Option.iter (fun pipeline ->
+    let report = Openmpopt.Pass_manager.run_pipeline ~pipeline m in
     Format.printf "opt: %a@." Openmpopt.Pass_manager.pp_report report;
     List.iter (fun r -> Format.printf "  %s@." (Openmpopt.Remark.to_string r))
       report.Openmpopt.Pass_manager.remarks;
@@ -30,8 +28,7 @@ let () =
      | Ok () -> ()
      | Error e ->
        Format.printf "%a@." Ir.Printer.pp_module m;
-       failwith ("post-opt: " ^ e))
-  end;
+       failwith ("post-opt: " ^ e))) pipeline;
   if Array.length Sys.argv > 4 && Sys.argv.(4) = "dump" then
     Format.printf "%a@." Ir.Printer.pp_module m;
   let sim = Gpusim.Interp.create Gpusim.Machine.test_machine m in
