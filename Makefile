@@ -41,9 +41,12 @@ fault-matrix:
 	sh tools/fault_matrix.sh
 
 # Persistent-service smoke: boot a real mompd, check `mompc --daemon` is
-# byte-identical to one-shot mompc, drive 50 mixed protocol requests
+# byte-identical to one-shot mompc, drive 52 mixed protocol requests
 # (including an injected pass-crash and malformed lines) through
-# `mompd request`, and require a clean shutdown (docs/API.md).
+# `mompd request`, and require a clean shutdown; then drive the same
+# requests through a one-shard `mompd route`, requiring replies
+# byte-identical to the daemon's (stats aside) and a clean fleet shutdown
+# (docs/API.md, docs/FLEET.md).
 service-smoke:
 	dune build bin/mompc.exe bin/mompd.exe
 	sh tools/service_smoke.sh

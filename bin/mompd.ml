@@ -12,7 +12,7 @@
    the same source are cache hits whichever client sends them.  The serve
    loop runs under a supervisor: a crash restarts it on the same bound
    socket with jittered backoff, and a crash loop opens a circuit breaker
-   (exit 41).  SIGTERM/SIGINT drain gracefully.  Wire protocol v2
+   (exit 41).  SIGTERM/SIGINT drain gracefully.  Wire protocol v3
    (newline-delimited JSON) is specified in docs/API.md. *)
 
 open Cmdliner
@@ -522,7 +522,7 @@ let request socket =
 let request_cmd =
   let doc =
     "send newline-delimited JSON protocol requests from stdin, print one \
-     response line each (see docs/API.md for the v2 request shapes)"
+     response line each (see docs/API.md for the v3 request shapes)"
   in
   Cmd.v (Cmd.info "request" ~doc) Term.(const request $ socket_arg)
 

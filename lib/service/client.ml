@@ -48,14 +48,14 @@ let with_connection ~socket_path f =
 let transport_error ~peer fmt =
   Printf.ksprintf (fun m -> Error (E.make E.Internal ~phase:E.Serving ~peer m)) fmt
 
-let roundtrip_json t j =
+let roundtrip_line t line =
   match
-    Protocol.write_message t.oc j;
-    Protocol.read_message t.ic
+    Protocol.write_line t.oc line;
+    Protocol.read_frame t.ic
   with
+  | `Line reply -> Ok reply
   | `Eof -> transport_error ~peer:t.peer "connection closed before a response arrived"
-  | `Overflow e | `Msg (Error e) -> Error e
-  | `Msg (Ok reply) -> Ok reply
+  | `Overflow e -> Error e
   | exception Sys_error msg ->
     (* a timed-out or reset socket read/write; the stream can no longer be
        resynchronized, so the caller must reconnect *)
@@ -65,6 +65,11 @@ let roundtrip_json t j =
     transport_error ~peer:t.peer "request deadline exceeded waiting for the daemon"
   | exception End_of_file ->
     transport_error ~peer:t.peer "connection closed before a response arrived"
+
+let roundtrip_json t j =
+  Result.bind
+    (roundtrip_line t (Observe.Json.to_string ~minify:true j))
+    Protocol.decode_line
 
 let roundtrip t request =
   match roundtrip_json t (Protocol.request_to_json request) with

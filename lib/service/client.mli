@@ -4,7 +4,7 @@
 
     - A {!t} is one raw connection: requests written through it are
       answered in order, so a client can pipeline.  All helpers speak
-      {!Protocol} v1 and return decoding problems as structured errors
+      {!Protocol} v3 and return decoding problems as structured errors
       rather than raising — the only exceptions escaping are
       [Unix.Unix_error] from {!connect} (the daemon is down, the socket
       path is wrong).
@@ -39,11 +39,16 @@ val roundtrip :
     connection closed mid-response, a timed-out read, and undecodable
     response bytes (all [Internal], phase [Serving]). *)
 
+val roundtrip_line : t -> string -> (string, Fault.Ompgpu_error.t) result
+(** One raw line out (the newline is appended), one raw line back:
+    neither is decoded, so the router relays a shard's reply byte for
+    byte.  A torn reply comes back as its bytes; [Error] covers a closed,
+    reset or timed-out connection and an oversized reply. *)
+
 val roundtrip_json :
   t -> Observe.Json.t -> (Observe.Json.t, Fault.Ompgpu_error.t) result
-(** {!roundtrip} at the wire level: one JSON line out, one line back,
-    no decoding of either — what [mompd request] and protocol tests
-    speak. *)
+(** {!roundtrip_line} with JSON on both ends, no request or response
+    decoding — what [mompd request] and protocol tests speak. *)
 
 val compile :
   t ->

@@ -378,7 +378,7 @@ let max_frame_bytes = 8 * 1024 * 1024
    structured [Bad_request] (and, for oversized frames, a severed
    connection — the unread remainder of the line cannot be resynchronized
    against).  [read_frame] keeps the raw bytes for relays that must not
-   re-encode; [read_message] decodes them. *)
+   re-encode; [decode_line] decodes them. *)
 let read_frame ic =
   let buf = Buffer.create 256 in
   let rec fill () =
@@ -397,19 +397,12 @@ let read_frame ic =
   in
   fill ()
 
-let read_message ic =
-  match read_frame ic with
-  | (`Eof | `Overflow _) as r -> r
-  | `Line line -> (
-    (* EOF before the newline lands here too: the truncated frame is
-       decoded best-effort and, being torn JSON, rejected structurally *)
-    match J.of_string line with
-    | Ok j -> `Msg (Ok j)
-    | Error msg -> `Msg (Error (bad_request "unparseable request: %s" msg)))
+(* EOF before the newline lands here too: the truncated frame is decoded
+   best-effort and, being torn JSON, rejected structurally *)
+let decode_line line =
+  Result.map_error (bad_request "unparseable request: %s") (J.of_string line)
 
 let write_line oc line =
   Out_channel.output_string oc line;
   Out_channel.output_char oc '\n';
   Out_channel.flush oc
-
-let write_message oc j = write_line oc (J.to_string ~minify:true j)

@@ -35,8 +35,8 @@ val version : int
 
 val max_frame_bytes : int
 (** Upper bound on one request line (8 MiB).  A longer line is a hostile
-    or broken peer; {!read_message} reports it as [`Overflow] without
-    buffering the remainder, and the server severs the connection after
+    or broken peer; {!read_frame} reports it as [`Overflow] without
+    buffering the remainder, and {!Endpoint} severs the connection after
     answering. *)
 
 type request =
@@ -97,24 +97,15 @@ val response_of_json :
 val read_frame :
   in_channel ->
   [ `Eof | `Line of string | `Overflow of Fault.Ompgpu_error.t ]
-(** Read one newline-terminated line, raw: the framing (and the limits) of
-    {!read_message} without decoding, for relays that must forward the
-    original bytes.  [`Line] also covers EOF mid-frame (the torn bytes);
-    [`Overflow] carries the [Bad_request] to answer before severing. *)
+(** Read one newline-terminated line, raw, so a relay can forward the
+    original bytes.  Never raises on hostile input.  [`Line] also covers
+    EOF mid-frame (the torn bytes); [`Overflow] carries the [Bad_request]
+    to answer before severing. *)
 
-val read_message :
-  in_channel ->
-  [ `Eof
-  | `Msg of (Observe.Json.t, Fault.Ompgpu_error.t) result
-  | `Overflow of Fault.Ompgpu_error.t ]
-(** Read one newline-terminated JSON message.  Never raises on hostile
-    input: end of stream is [`Eof], a line over {!max_frame_bytes} is
-    [`Overflow] (the remainder of the line is left unread — close the
-    connection), and a torn or garbage line (including EOF mid-frame) is
-    [`Msg (Error bad_request)]. *)
+val decode_line :
+  string -> (Observe.Json.t, Fault.Ompgpu_error.t) result
+(** Decode one frame's bytes.  A torn or garbage line is a [Bad_request]
+    naming the parse failure. *)
 
 val write_line : out_channel -> string -> unit
 (** Write one line (the newline is appended) and flush. *)
-
-val write_message : out_channel -> Observe.Json.t -> unit
-(** Write one minified JSON line and flush. *)

@@ -1,10 +1,11 @@
 (* The compile-fleet router (see the .mli and docs/FLEET.md).
 
-   Layering mirrors Server: connection threads own all protocol work; the
-   shards own all compile work (each one a full Supervisor+Journal+Server
-   stack).  The router's own work per request is one ring lookup, one
-   admission decision and one socket relay — it never compiles unless the
-   whole fleet is unreachable.
+   Layering mirrors Server: the Endpoint owns the socket, the connection
+   threads, the framing and the drain, and this module is the dispatch
+   they call; the shards own all compile work (each one a full
+   Supervisor+Journal+Server stack).  The router's own work per request is
+   one ring lookup, one admission decision and one relay — it never
+   compiles unless the whole fleet is unreachable.
 
    The one invariant everything here defends: a reply through the router
    is byte-identical to a reply from a lone daemon.  Compile requests are
@@ -208,15 +209,13 @@ type shard = {
 }
 
 type counters = {
-  mutable served : int;  (* response lines written, all kinds *)
   mutable routed : int;  (* compile lines settled by a shard *)
   mutable failovers : int;  (* candidate shards skipped after a failure *)
   mutable fallbacks : int;  (* compiles settled in-process *)
-  mutable quota_shed : int;  (* fair-queue deadline expiries *)
+  mutable quota_shed : int;  (* fair-queue deadline expiries, drain sheds *)
   mutable fleet_requests : int;
   mutable stats_requests : int;
   mutable health_requests : int;
-  mutable bad_requests : int;
 }
 
 type t = {
@@ -224,13 +223,10 @@ type t = {
   ring : Ring.t;
   shards : shard array;  (* aligned with [Ring.shards] *)
   admission : Admission.t;
-  listen_fd : Unix.file_descr;
+  ep : Endpoint.t;
   mutex : Mutex.t;
   counters : counters;
-  mutable stopped : bool;
-  mutable conns : (Unix.file_descr * Thread.t) list;
   mutable daemons : Thread.t list;  (* prober + monitor *)
-  started_at : float;
 }
 
 let locked t f =
@@ -265,11 +261,16 @@ let create cfg backends =
     admission =
       Admission.create ~capacity:cfg.capacity
         ~queue_deadline_s:cfg.queue_deadline_s;
-    listen_fd = Server.bind_listener cfg.socket_path;
+    (* no fault sites: the injector's conn-drop, partial-frame,
+       slow-client and daemon-kill belong to the shards' servers; the
+       router drains on the daemon's default deadline *)
+    ep =
+      Endpoint.create
+        ~drain_deadline_s:Server.default_config.Server.drain_deadline_s
+        cfg.socket_path;
     mutex = Mutex.create ();
     counters =
       {
-        served = 0;
         routed = 0;
         failovers = 0;
         fallbacks = 0;
@@ -277,33 +278,32 @@ let create cfg backends =
         fleet_requests = 0;
         stats_requests = 0;
         health_requests = 0;
-        bad_requests = 0;
       };
-    stopped = false;
-    conns = [];
     daemons = [];
-    started_at = Unix.gettimeofday ();
   }
 
 (* ------------------------------------------------------------------ *)
 (* Health probing and respawn/ejection                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Every exchange with a shard — probe, relay, live stats — is one client
+   connection under a deadline; a failure comes back as its reason. *)
+let with_shard ~deadline_s shard f =
+  match Client.connect ~deadline_s ~socket_path:shard.backend.socket_path () with
+  | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
+  | c ->
+    Fun.protect
+      ~finally:(fun () -> Client.close c)
+      (fun () -> Result.map_error (fun e -> e.E.message) (f c))
+
 let probe_once t shard =
   let injected =
     Fault.Injector.fire t.cfg.injector Fault.Injector.Probe_timeout
   in
   (not injected)
-  &&
-  match
-    Client.connect ~deadline_s:t.cfg.probe_deadline_s
-      ~socket_path:shard.backend.socket_path ()
-  with
-  | c ->
-    let ok = Result.is_ok (Client.health c ()) in
-    Client.close c;
-    ok
-  | exception _ -> false
+  && Result.is_ok
+       (with_shard ~deadline_s:t.cfg.probe_deadline_s shard (fun c ->
+            Client.health c ()))
 
 let transition t shard next =
   if shard.state <> next then begin
@@ -331,11 +331,13 @@ let probe_shard t shard =
       end)
 
 let prober t =
-  while not (locked t (fun () -> t.stopped)) do
+  while not (Endpoint.draining t.ep) do
     Array.iter
       (fun s ->
-        if locked t (fun () -> s.state <> Ejected && not t.stopped) then
-          probe_shard t s)
+        if
+          (not (Endpoint.draining t.ep))
+          && locked t (fun () -> s.state <> Ejected)
+        then probe_shard t s)
       t.shards;
     Thread.delay t.cfg.probe_interval_s
   done
@@ -388,7 +390,7 @@ let monitor_shard t shard =
     end
 
 let monitor t =
-  while not (locked t (fun () -> t.stopped)) do
+  while not (Endpoint.draining t.ep) do
     Array.iter (fun s -> monitor_shard t s) t.shards;
     Thread.delay (min 0.05 t.cfg.probe_interval_s)
   done
@@ -428,30 +430,8 @@ let candidates t key =
 (* One request relayed to one shard over a fresh connection: the client's
    original line out, the shard's response line back, both verbatim. *)
 let relay_once t shard line =
-  match
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try
-       Unix.connect fd (Unix.ADDR_UNIX shard.backend.socket_path);
-       if t.cfg.relay_deadline_s > 0. then begin
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.relay_deadline_s;
-         Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.relay_deadline_s
-       end
-     with e ->
-       Unix.close fd;
-       raise e);
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        Protocol.write_line (Unix.out_channel_of_descr fd) line;
-        Protocol.read_frame (Unix.in_channel_of_descr fd))
-  with
-  | `Line resp -> Ok resp
-  | `Eof -> Error "connection closed before a response arrived"
-  | `Overflow _ -> Error "oversized response frame"
-  | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
-  | exception Sys_error msg -> Error msg
-  | exception Sys_blocked_io -> Error "relay deadline exceeded"
-  | exception End_of_file -> Error "connection closed before a response arrived"
+  with_shard ~deadline_s:t.cfg.relay_deadline_s shard (fun c ->
+      Client.roundtrip_line c line)
 
 (* A shard answering "shed" (a settled Overload, exit 40) is healthy but
    full; the failover ladder tries the other shards before giving up. *)
@@ -489,17 +469,9 @@ let shard_counts t =
         (0, 0, 0, 0) t.shards)
 
 let shard_stats_live t shard =
-  match
-    Client.connect ~deadline_s:t.cfg.probe_deadline_s
-      ~socket_path:shard.backend.socket_path ()
-  with
-  | c ->
-    let stats =
-      match Client.stats c () with Ok s -> Some s | Error _ -> None
-    in
-    Client.close c;
-    stats
-  | exception _ -> None
+  Result.to_option
+    (with_shard ~deadline_s:t.cfg.probe_deadline_s shard (fun c ->
+         Client.stats c ()))
 
 (* Roll up the shards' [storage] sections (Server.storage_json) into one
    fleet-wide view: reachable, non-ejected shards' cache/disk/journal
@@ -570,7 +542,7 @@ let router_json t =
   locked t (fun () ->
       J.Obj
         [
-          ("served", J.Int c.served);
+          ("served", J.Int (Endpoint.served t.ep));
           ("routed", J.Int c.routed);
           ("failovers", J.Int c.failovers);
           ("fallbacks", J.Int c.fallbacks);
@@ -578,7 +550,7 @@ let router_json t =
           ("fleet", J.Int c.fleet_requests);
           ("stats", J.Int c.stats_requests);
           ("health", J.Int c.health_requests);
-          ("bad", J.Int c.bad_requests);
+          ("bad", J.Int (Endpoint.bad t.ep));
         ])
 
 let health_json t =
@@ -588,12 +560,12 @@ let health_json t =
        [
          ( "status",
            J.String
-             (if locked t (fun () -> t.stopped) then "draining"
+             (if Endpoint.draining t.ep then "draining"
               else if up > 0 then "ok"
               else "degraded") );
          ("role", J.String "router");
          ("protocol", J.Int Protocol.version);
-         ("uptime_s", J.Float (Unix.gettimeofday () -. t.started_at));
+         ("uptime_s", J.Float (Endpoint.uptime_s t.ep));
          ("shards_up", J.Int up);
          ("shards_total", J.Int (Array.length t.shards));
          ("in_flight", J.Int (Admission.in_flight t.admission));
@@ -607,7 +579,7 @@ let stats_json t =
        [
          ("role", J.String "router");
          ("protocol", J.Int Protocol.version);
-         ("uptime_s", J.Float (Unix.gettimeofday () -. t.started_at));
+         ("uptime_s", J.Float (Endpoint.uptime_s t.ep));
          ("capacity", J.Int t.cfg.capacity);
          ("in_flight", J.Int (Admission.in_flight t.admission));
          ("requests", router_json t);
@@ -659,7 +631,7 @@ let fleet_json t =
        [
          ("role", J.String "router");
          ("protocol", J.Int Protocol.version);
-         ("uptime_s", J.Float (Unix.gettimeofday () -. t.started_at));
+         ("uptime_s", J.Float (Endpoint.uptime_s t.ep));
          ( "ring",
            J.Obj
              [
@@ -675,182 +647,97 @@ let fleet_json t =
          ("shards", J.List shard_entries);
        ])
 
-(* ------------------------------------------------------------------ *)
-(* Request handling                                                    *)
-(* ------------------------------------------------------------------ *)
 
-let respond_raw t oc line =
-  Protocol.write_line oc line;
-  locked t (fun () -> t.counters.served <- t.counters.served + 1)
-
-let respond t oc response =
-  respond_raw t oc (J.to_string ~minify:true (Protocol.response_to_json response))
+(* ------------------------------------------------------------------ *)
+(* Request dispatch, serve loop                                        *)
+(* ------------------------------------------------------------------ *)
 
 (* One compile through the fleet: admission, then the failover ladder —
    every live candidate in ring order, then the in-process fallback — so
    the request settles with the right bytes no matter which shards died
-   mid-flight.  Zero client-visible transport failures by construction. *)
-let handle_compile t oc ~raw ~id ~file ~source ~config ~tenant =
+   mid-flight.  Zero client-visible transport failures by construction.
+   A draining router sheds new compiles, as a draining daemon does. *)
+let handle_compile t ~raw ~id ~file ~source ~config ~tenant =
   let op = if config.Ompgpu_api.Config.run_sim then "run" else "compile" in
-  let tenant_key = Option.value tenant ~default:"<anon>" in
-  match Admission.acquire t.admission ~tenant:tenant_key with
-  | Admission.Shed { pending; capacity } ->
+  let settled result = Endpoint.Reply (Protocol.Compiled { id; op; result }) in
+  let shed ~pending ~capacity message =
     locked t (fun () -> t.counters.quota_shed <- t.counters.quota_shed + 1);
-    let result =
-      Ompgpu_api.errored ~file
-        (E.make
-           (E.Overload { pending; capacity })
-           ~phase:E.Serving
-           (Printf.sprintf
-              "request shed: tenant %S is over its fleet share (%d in flight \
-               against a fleet capacity of %d); retry with backoff"
-              tenant_key pending capacity))
-    in
-    respond t oc (Protocol.Compiled { id; op; result })
-  | Admission.Admitted ->
-    Fun.protect
-      ~finally:(fun () -> Admission.release t.admission ~tenant:tenant_key)
-      (fun () ->
-        let key = Ompgpu_api.cache_key ~file ~config ~source in
-        let rec ladder = function
-          | [] ->
-            (* the whole fleet is unreachable or shedding: settle the
-               request here — the same compile the shards would run,
-               byte-identical by construction *)
-            locked t (fun () -> t.counters.fallbacks <- t.counters.fallbacks + 1);
-            let result = Ompgpu_api.compile_buffered ~config ~file source in
-            respond t oc (Protocol.Compiled { id; op; result })
-          | i :: rest -> (
-            let shard = t.shards.(i) in
-            match relay_once t shard raw with
-            | Ok resp when not (is_shed_line resp) ->
-              locked t (fun () -> t.counters.routed <- t.counters.routed + 1);
-              respond_raw t oc resp
-            | Ok _shed ->
-              locked t (fun () ->
-                  t.counters.failovers <- t.counters.failovers + 1);
-              ladder rest
-            | Error reason ->
-              strike t shard reason;
-              locked t (fun () ->
-                  t.counters.failovers <- t.counters.failovers + 1);
-              ladder rest)
-        in
-        ladder (candidates t key))
-
-let stop t =
-  locked t (fun () -> t.stopped <- true);
-  try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-
-let handle_connection t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let bad () =
-    locked t (fun () -> t.counters.bad_requests <- t.counters.bad_requests + 1)
+    settled
+      (Ompgpu_api.errored ~file
+         (E.make (E.Overload { pending; capacity }) ~phase:E.Serving message))
   in
-  let rec loop () =
-    match Protocol.read_frame ic with
-    | `Eof -> ()
-    | `Overflow error ->
-      bad ();
-      respond t oc (Protocol.Rejected { id = None; error })
-      (* the unread remainder cannot be resynchronized against: sever *)
-    | `Line raw ->
-      (match J.of_string raw with
-      | Error msg ->
-        bad ();
-        respond t oc
-          (Protocol.Rejected
-             {
-               id = None;
-               error =
-                 E.make E.Bad_request ~phase:E.Serving
-                   (Printf.sprintf "unparseable request: %s" msg);
-             })
-      | Ok j -> (
-        match Protocol.request_of_json j with
-        | Error error ->
-          bad ();
-          let id = Option.bind (J.member "id" j) J.to_str in
-          respond t oc (Protocol.Rejected { id; error })
-        | Ok (Protocol.Stats { id }) ->
-          locked t (fun () ->
-              t.counters.stats_requests <- t.counters.stats_requests + 1);
-          respond t oc (Protocol.Stats_reply { id; stats = stats_json t })
-        | Ok (Protocol.Health { id }) ->
-          locked t (fun () ->
-              t.counters.health_requests <- t.counters.health_requests + 1);
-          respond t oc (Protocol.Health_reply { id; health = health_json t })
-        | Ok (Protocol.Fleet { id }) ->
-          locked t (fun () ->
-              t.counters.fleet_requests <- t.counters.fleet_requests + 1);
-          respond t oc (Protocol.Fleet_reply { id; fleet = fleet_json t })
-        | Ok (Protocol.Shutdown { id }) ->
-          respond t oc (Protocol.Shutdown_ack { id });
-          stop t;
-          raise Exit
-        | Ok (Protocol.Compile { id; file; source; config; tenant }) ->
-          handle_compile t oc ~raw ~id ~file ~source ~config ~tenant));
-      loop ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Out_channel.flush oc with Sys_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      locked t (fun () ->
-          t.conns <- List.filter (fun (fd', _) -> fd' != fd) t.conns))
-    (fun () ->
-      try loop () with
-      | Exit -> ()
-      | Sys_error _ | End_of_file -> ()
-      | e ->
-        (* never let one connection take the router down *)
-        let error = E.make E.Internal ~phase:E.Serving (Printexc.to_string e) in
-        (try respond t oc (Protocol.Rejected { id = None; error })
-         with Sys_error _ | End_of_file -> ()))
+  let tenant_key = Option.value tenant ~default:"<anon>" in
+  if Endpoint.draining t.ep then
+    shed
+      ~pending:(Admission.in_flight t.admission)
+      ~capacity:t.cfg.capacity
+      "request shed: the router is draining; retry against the restarted \
+       router or fall back to in-process compilation"
+  else
+    match Admission.acquire t.admission ~tenant:tenant_key with
+    | Admission.Shed { pending; capacity } ->
+      shed ~pending ~capacity
+        (Printf.sprintf
+           "request shed: tenant %S is over its fleet share (%d in flight \
+            against a fleet capacity of %d); retry with backoff"
+           tenant_key pending capacity)
+    | Admission.Admitted ->
+      Fun.protect
+        ~finally:(fun () -> Admission.release t.admission ~tenant:tenant_key)
+        (fun () ->
+          let key = Ompgpu_api.cache_key ~file ~config ~source in
+          let rec ladder = function
+            | [] ->
+              (* the whole fleet is unreachable or shedding: settle the
+                 request here — the same compile the shards would run,
+                 byte-identical by construction *)
+              locked t (fun () ->
+                  t.counters.fallbacks <- t.counters.fallbacks + 1);
+              settled (Ompgpu_api.compile_buffered ~config ~file source)
+            | i :: rest -> (
+              let shard = t.shards.(i) in
+              match relay_once t shard raw with
+              | Ok resp when not (is_shed_line resp) ->
+                locked t (fun () -> t.counters.routed <- t.counters.routed + 1);
+                Endpoint.Relay resp
+              | Ok _shed ->
+                locked t (fun () ->
+                    t.counters.failovers <- t.counters.failovers + 1);
+                ladder rest
+              | Error reason ->
+                strike t shard reason;
+                locked t (fun () ->
+                    t.counters.failovers <- t.counters.failovers + 1);
+                ladder rest)
+          in
+          ladder (candidates t key))
 
-(* ------------------------------------------------------------------ *)
-(* Serve loop                                                          *)
-(* ------------------------------------------------------------------ *)
+let dispatch t raw = function
+  | Protocol.Stats { id } ->
+    locked t (fun () ->
+        t.counters.stats_requests <- t.counters.stats_requests + 1);
+    Endpoint.Reply (Protocol.Stats_reply { id; stats = stats_json t })
+  | Protocol.Health { id } ->
+    locked t (fun () ->
+        t.counters.health_requests <- t.counters.health_requests + 1);
+    Endpoint.Reply (Protocol.Health_reply { id; health = health_json t })
+  | Protocol.Fleet { id } ->
+    locked t (fun () ->
+        t.counters.fleet_requests <- t.counters.fleet_requests + 1);
+    Endpoint.Reply (Protocol.Fleet_reply { id; fleet = fleet_json t })
+  | Protocol.Shutdown { id } -> Endpoint.Reply_and_stop (Protocol.Shutdown_ack { id })
+  | Protocol.Compile { id; file; source; config; tenant } ->
+    handle_compile t ~raw ~id ~file ~source ~config ~tenant
 
-let sever_connections t =
-  List.iter
-    (fun (fd, _) ->
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    (locked t (fun () -> t.conns))
+let stop t = Endpoint.stop t.ep
 
-let join_connections t =
-  List.iter (fun (_, th) -> Thread.join th) (locked t (fun () -> t.conns))
-
-let shutdown_fleet t =
-  sever_connections t;
-  join_connections t;
-  List.iter Thread.join (locked t (fun () -> t.daemons));
-  Array.iter
-    (fun s -> try s.backend.stop () with _ -> ())
-    t.shards;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ -> ()
-
+(* The prober and monitor watch the endpoint's draining flag, so once the
+   drain is over they are joined, and every backend is stopped. *)
 let serve_forever t =
   locked t (fun () ->
       t.daemons <- [ Thread.create prober t; Thread.create monitor t ]);
-  let rec accept_loop () =
-    match Unix.accept t.listen_fd with
-    | fd, _ ->
-      let thread = Thread.create (fun () -> handle_connection t fd) () in
-      locked t (fun () -> t.conns <- (fd, thread) :: t.conns);
-      accept_loop ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      if locked t (fun () -> t.stopped) then () else accept_loop ()
-    | exception Unix.Unix_error _ when locked t (fun () -> t.stopped) -> ()
-  in
-  match accept_loop () with
-  | () -> shutdown_fleet t
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    locked t (fun () -> t.stopped <- true);
-    shutdown_fleet t;
-    Printexc.raise_with_backtrace e bt
-
-let run cfg backends = serve_forever (create cfg backends)
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Thread.join (locked t (fun () -> t.daemons));
+      Array.iter (fun s -> try s.backend.stop () with _ -> ()) t.shards)
+    (fun () -> ignore (Endpoint.serve t.ep (dispatch t)))

@@ -38,7 +38,16 @@
     [capacity / active_tenants] (at least 1), excess waits briefly for
     capacity, and only a wait that outlives [queue_deadline_s] is shed
     with the structured [Overload] clients already know how to retry.  A
-    greedy tenant cannot starve a quiet one. *)
+    greedy tenant cannot starve a quiet one.
+
+    {b Connections and drain.}  The router is a dispatch behind an
+    {!Endpoint}, the same connection path a lone {!Server} answers
+    through, so both answer hostile input byte for byte alike.  It arms
+    none of the endpoint's fault sites.  A [shutdown] request or {!stop}
+    drains as the daemon does: compiles arriving afterwards are shed with
+    [Overload], and replies already being relayed are delivered (bounded
+    by the daemon's default 5s drain deadline) before the backends
+    stop. *)
 
 (** One shard as the router drives it: how to (re)start and stop it, and
     how to observe liveness.  A record, not a class, so tests can build
@@ -100,7 +109,8 @@ type config = {
   eject_cooldown_s : float;
   vnodes : int;  (** ring points per shard *)
   injector : Fault.Injector.t;
-      (** arms [shard-down], [probe-timeout] and [ring-skew] *)
+      (** arms [shard-down], [probe-timeout] and [ring-skew]; the
+          server's sites never fire at the router *)
   log : string -> unit;
 }
 
@@ -120,13 +130,11 @@ val create : config -> backend list -> t
 
 val serve_forever : t -> unit
 (** Run the prober, the monitor and the accept loop until a [shutdown]
-    request or {!stop}; then stop every backend and release the socket. *)
+    request or {!stop}; then drain, stop every backend and release the
+    socket. *)
 
 val stop : t -> unit
 (** Idempotent; safe from a signal handler. *)
-
-val run : config -> backend list -> unit
-(** [create] + [serve_forever]. *)
 
 val fleet_json : t -> Observe.Json.t
 (** The fleet document served to a [fleet] request (schema 2): the ring

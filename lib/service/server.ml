@@ -1,12 +1,13 @@
 (* The persistent compile daemon (see the .mli and docs/API.md).
 
-   Layering: connection threads own all protocol work (parsing, admission,
-   response framing); the Sched.Pool domains own all compiler work.  The
-   only shared mutable state is the counters record (one mutex), the
-   caches (thread-safe by construction), the journal (its own mutex) and
-   the stop/drain flags.
+   Layering: the Endpoint owns the socket, the connection threads, the
+   framing and the drain; this module is the dispatch those threads call
+   (admission, caches, compile, documents), and the Sched.Pool domains own
+   all compiler work.  The only shared mutable state here is the counters
+   record (one mutex), the caches (thread-safe by construction), the
+   journal (its own mutex) and the tier-upgrade queue (its own mutex).
 
-   Supervision: when created with [~listen_fd] (by {!Supervisor}), the
+   Supervision: when created with [~listener] (by {!Supervisor}), the
    server borrows the listening socket — a serve-loop crash severs the
    live connections, re-raises, and leaves the socket bound so the
    supervisor can restart the loop without dropping the address. *)
@@ -67,17 +68,13 @@ let new_supervision () =
 (* Request counters; one mutex is plenty (a counter bump per request
    against compiles that take milliseconds). *)
 type counters = {
-  mutable served : int;  (* responses written, all kinds *)
   mutable compiles : int;  (* compile/run requests admitted *)
   mutable compile_ok : int;
   mutable compile_failed : int;  (* structured failures incl. timeouts *)
   mutable shed : int;  (* rejected by admission control (incl. drain) *)
   mutable stats_requests : int;
   mutable health_requests : int;
-  mutable bad_requests : int;
   mutable in_flight : int;  (* admitted, not yet settled *)
-  mutable busy : int;  (* requests between parse and response write *)
-  mutable injected_drops : int;  (* conn-drop/partial-frame faults fired *)
   mutable fast_served : int;  (* compile answers taken from the fast tier *)
   mutable profile_saves : int;  (* hotness-profile checkpoints written *)
 }
@@ -99,8 +96,7 @@ type upgrade = {
 
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
-  owns_listener : bool;
+  ep : Endpoint.t;
   pool : Sched.Pool.t;
   cache : entry Sched.Cache.t;
   disk : Sched.Disk_cache.t option;
@@ -111,10 +107,6 @@ type t = {
   counters : counters;
   profile_restored : int;  (* hot keys reloaded from the saved profile *)
   mutex : Mutex.t;
-  mutable stopped : bool;
-  mutable draining : bool;
-  mutable conns : (Unix.file_descr * Thread.t) list;
-  started_at : float;
   (* tier-upgrade state: its own mutex/condition so the worker never
      contends with the request-path counters lock *)
   hot : Observe.Hitcount.t;  (* per-key request counts; promotion order *)
@@ -132,22 +124,6 @@ type t = {
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let bind_listener socket_path =
-  (if Sys.file_exists socket_path then
-     match (Unix.lstat socket_path).Unix.st_kind with
-     | Unix.S_SOCK -> Unix.unlink socket_path
-     | _ ->
-       invalid_arg
-         (Printf.sprintf "Service.Server.create: %s exists and is not a socket"
-            socket_path));
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.bind listen_fd (Unix.ADDR_UNIX socket_path)
-   with e ->
-     Unix.close listen_fd;
-     raise e);
-  Unix.listen listen_fd 64;
-  listen_fd
 
 (* The hotness table is always bounded: over unbounded distinct-key
    traffic the decay cap keeps profile memory O(hot_keys_cap) while hot
@@ -177,15 +153,14 @@ let entry_bytes e =
   + String.length e.result.Ompgpu_api.diagnostics
   + 256
 
-let create ?listen_fd ?journal ?supervision cfg =
+let create ?listener ?journal ?supervision cfg =
   let cfg = { cfg with domains = max 1 cfg.domains; capacity = max 0 cfg.capacity } in
   let supervision =
     match supervision with Some s -> s | None -> new_supervision ()
   in
-  let listen_fd, owns_listener =
-    match listen_fd with
-    | Some fd -> (fd, false)
-    | None -> (bind_listener cfg.socket_path, true)
+  let ep =
+    Endpoint.create ~injector:cfg.injector ?lent:listener
+      ~drain_deadline_s:cfg.drain_deadline_s cfg.socket_path
   in
   let journal, recovery, owns_journal =
     match journal with
@@ -211,8 +186,7 @@ let create ?listen_fd ?journal ?supervision cfg =
   let t =
     {
       cfg;
-      listen_fd;
-      owns_listener;
+      ep;
       (* the pool queue must outsize admission, so an admitted request never
          blocks in [submit] behind the cap it was admitted under *)
       pool =
@@ -234,26 +208,18 @@ let create ?listen_fd ?journal ?supervision cfg =
       supervision;
       counters =
         {
-          served = 0;
           compiles = 0;
           compile_ok = 0;
           compile_failed = 0;
           shed = 0;
           stats_requests = 0;
           health_requests = 0;
-          bad_requests = 0;
           in_flight = 0;
-          busy = 0;
-          injected_drops = 0;
           fast_served = 0;
           profile_saves = 0;
         };
       profile_restored;
       mutex = Mutex.create ();
-      stopped = false;
-      draining = false;
-      conns = [];
-      started_at = Unix.gettimeofday ();
       hot;
       upgrade_mutex = Mutex.create ();
       upgrade_cond = Condition.create ();
@@ -279,12 +245,12 @@ let service_json t =
     [
       ("restarts", J.Int sup.restarts);
       ("breaker", J.String (if sup.breaker_open then "open" else "closed"));
-      ("draining", J.Bool (locked t (fun () -> t.draining)));
+      ("draining", J.Bool (Endpoint.draining t.ep));
       ("journal", Journal.recovery_to_json t.recovery);
       ( "swept_temps",
         J.Int (match t.disk with Some d -> Sched.Disk_cache.swept d | None -> 0)
       );
-      ("injected_drops", J.Int t.counters.injected_drops);
+      ("injected_drops", J.Int (Endpoint.injected_drops t.ep));
     ]
 
 let health_json t =
@@ -293,10 +259,9 @@ let health_json t =
     (J.Obj
        ([
           ( "status",
-            J.String (if locked t (fun () -> t.draining) then "draining" else "ok")
-          );
+            J.String (if Endpoint.draining t.ep then "draining" else "ok") );
           ("protocol", J.Int Protocol.version);
-          ("uptime_s", J.Float (Unix.gettimeofday () -. t.started_at));
+          ("uptime_s", J.Float (Endpoint.uptime_s t.ep));
           ("in_flight", J.Int c.in_flight);
           ("capacity", J.Int t.cfg.capacity);
         ]
@@ -360,20 +325,20 @@ let stats_json t =
     (J.Obj
        [
          ("protocol", J.Int Protocol.version);
-         ("uptime_s", J.Float (Unix.gettimeofday () -. t.started_at));
+         ("uptime_s", J.Float (Endpoint.uptime_s t.ep));
          ("domains", J.Int (Sched.Pool.domain_count t.pool));
          ("capacity", J.Int t.cfg.capacity);
          ( "requests",
            J.Obj
              [
-               ("served", J.Int c.served);
+               ("served", J.Int (Endpoint.served t.ep));
                ("compiles", J.Int c.compiles);
                ("compile_ok", J.Int c.compile_ok);
                ("compile_failed", J.Int c.compile_failed);
                ("shed", J.Int c.shed);
                ("stats", J.Int c.stats_requests);
                ("health", J.Int c.health_requests);
-               ("bad", J.Int c.bad_requests);
+               ("bad", J.Int (Endpoint.bad t.ep));
                ("in_flight", J.Int c.in_flight);
              ] );
          ( "cache",
@@ -654,7 +619,7 @@ let handle_compile t ~id ~file ~config source =
      (overload is transient) is the backpressure loop. *)
   let admitted =
     locked t (fun () ->
-        if t.draining then Error (`Draining t.counters.in_flight)
+        if Endpoint.draining t.ep then Error (`Draining t.counters.in_flight)
         else if t.counters.in_flight >= t.cfg.capacity then begin
           t.counters.shed <- t.counters.shed + 1;
           Error (`Over t.counters.in_flight)
@@ -713,228 +678,54 @@ let handle_compile t ~id ~file ~config source =
     result
 
 (* ------------------------------------------------------------------ *)
-(* Connections                                                         *)
+(* Dispatch, serve loop, teardown                                      *)
 (* ------------------------------------------------------------------ *)
 
-let stop t =
-  locked t (fun () ->
-      t.stopped <- true;
-      t.draining <- true);
-  (* wake the blocked accept: shutting a listening socket down makes the
-     pending accept fail immediately on Linux *)
-  try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+let stop t = Endpoint.stop t.ep
 
-let count_injected_drop t =
-  locked t (fun () ->
-      t.counters.injected_drops <- t.counters.injected_drops + 1)
+let dispatch t _raw = function
+  | Protocol.Stats { id } ->
+    locked t (fun () ->
+        t.counters.stats_requests <- t.counters.stats_requests + 1);
+    Endpoint.Reply (Protocol.Stats_reply { id; stats = stats_json t })
+  | Protocol.Health { id } ->
+    locked t (fun () ->
+        t.counters.health_requests <- t.counters.health_requests + 1);
+    Endpoint.Reply (Protocol.Health_reply { id; health = health_json t })
+  | Protocol.Fleet { id } ->
+    (* fleet aggregation is the router's job; a bare shard saying "yes"
+       here would masquerade as a one-shard fleet *)
+    Endpoint.Reply
+      (Protocol.Rejected
+         {
+           id = Some id;
+           error =
+             E.make E.Bad_request ~phase:E.Serving
+               "fleet: this daemon is a single shard; ask the fleet router \
+                (mompd route)";
+         })
+  | Protocol.Shutdown { id } -> Endpoint.Reply_and_stop (Protocol.Shutdown_ack { id })
+  | Protocol.Compile { id; file; source; config; tenant = _ } ->
+    let op = if config.Ompgpu_api.Config.run_sim then "run" else "compile" in
+    let result = handle_compile t ~id ~file ~config source in
+    Endpoint.Reply (Protocol.Compiled { id; op; result })
 
-let respond t ~fd oc response =
-  let line = J.to_string ~minify:true (Protocol.response_to_json response) in
-  if Fault.Injector.fire t.cfg.injector Fault.Injector.Slow_client then
-    Thread.delay 0.15;
-  if Fault.Injector.fire t.cfg.injector Fault.Injector.Partial_frame then begin
-    (* a torn response: half the line, no newline, then a hard close — the
-       client must treat it as a transient transport failure *)
-    count_injected_drop t;
-    Out_channel.output_string oc (String.sub line 0 (String.length line / 2));
-    Out_channel.flush oc;
-    (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    raise End_of_file
-  end;
-  Out_channel.output_string oc line;
-  Out_channel.output_char oc '\n';
-  Out_channel.flush oc;
-  locked t (fun () -> t.counters.served <- t.counters.served + 1)
-
-let handle_connection t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let bad () =
-    locked t (fun () -> t.counters.bad_requests <- t.counters.bad_requests + 1)
-  in
-  (* [busy] brackets parse→response so the drain knows a request is being
-     answered even while [in_flight] (compiles only) is zero *)
-  let busily f =
-    locked t (fun () -> t.counters.busy <- t.counters.busy + 1);
-    Fun.protect
-      ~finally:(fun () ->
-        locked t (fun () -> t.counters.busy <- t.counters.busy - 1))
-      f
-  in
-  let rec loop () =
-    match Protocol.read_message ic with
-    | `Eof -> ()
-    | `Overflow error ->
-      (* an oversized frame poisons the whole connection: answer once,
-         stop reading (the rest of the line is still in flight) *)
-      bad ();
-      busily (fun () -> respond t ~fd oc (Protocol.Rejected { id = None; error }))
-    | `Msg (Error e) ->
-      (* an unparseable line poisons only itself, not the connection *)
-      bad ();
-      busily (fun () -> respond t ~fd oc (Protocol.Rejected { id = None; error = e }));
-      loop ()
-    | `Msg (Ok j) ->
-      if Fault.Injector.fire t.cfg.injector Fault.Injector.Conn_drop then begin
-        (* drop the connection on the floor, mid-request: the client's
-           reconnect-and-retry path owns recovery *)
-        count_injected_drop t;
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-      end
-      else begin
-        (match Protocol.request_of_json j with
-        | Error e ->
-          bad ();
-          let id = Option.bind (J.member "id" j) J.to_str in
-          busily (fun () -> respond t ~fd oc (Protocol.Rejected { id; error = e }))
-        | Ok (Protocol.Stats { id }) ->
-          locked t (fun () ->
-              t.counters.stats_requests <- t.counters.stats_requests + 1);
-          busily (fun () ->
-              respond t ~fd oc
-                (Protocol.Stats_reply { id; stats = stats_json t }))
-        | Ok (Protocol.Health { id }) ->
-          locked t (fun () ->
-              t.counters.health_requests <- t.counters.health_requests + 1);
-          busily (fun () ->
-              respond t ~fd oc
-                (Protocol.Health_reply { id; health = health_json t }))
-        | Ok (Protocol.Fleet { id }) ->
-          (* fleet aggregation is the router's job; a bare shard saying
-             "yes" here would masquerade as a one-shard fleet *)
-          bad ();
-          busily (fun () ->
-              respond t ~fd oc
-                (Protocol.Rejected
-                   {
-                     id = Some id;
-                     error =
-                       E.make E.Bad_request ~phase:E.Serving
-                         "fleet: this daemon is a single shard; ask the \
-                          fleet router (mompd route)";
-                   }))
-        | Ok (Protocol.Shutdown { id }) ->
-          busily (fun () -> respond t ~fd oc (Protocol.Shutdown_ack { id }));
-          stop t;
-          raise Exit (* stop reading: the daemon is draining *)
-        | Ok (Protocol.Compile { id; file; source; config; tenant = _ }) ->
-          let op = if config.Ompgpu_api.Config.run_sim then "run" else "compile" in
-          busily (fun () ->
-              let result = handle_compile t ~id ~file ~config source in
-              respond t ~fd oc (Protocol.Compiled { id; op; result })));
-        loop ()
-      end
-  in
+(* A clean stop drains first (Endpoint.serve): the drain is journaled and
+   the hotness profile checkpointed while the table is final — the next
+   tiered boot restores it and re-queues upgrades hottest-first.  Either
+   way, pending upgrades are abandoned (their fast entries persist under
+   the derived disk key and re-queue on the next tiered boot), the worker
+   is joined before the pool it submits to goes down, and an owned
+   journal is closed.  A serve-loop crash re-raises for the supervisor. *)
+let serve_forever t =
   Fun.protect
     ~finally:(fun () ->
-      (try Out_channel.flush oc with Sys_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      locked t (fun () ->
-          t.conns <- List.filter (fun (fd', _) -> fd' != fd) t.conns))
+      stop_upgrader t;
+      Sched.Pool.shutdown t.pool;
+      if t.owns_journal then Option.iter Journal.close t.journal)
     (fun () ->
-      try loop () with
-      | Exit -> ()
-      | Sys_error _ | End_of_file ->
-        (* client went away mid-request; nothing to answer *)
-        ()
-      | e ->
-        (* never let a connection kill the daemon: report and move on *)
-        let error =
-          E.make E.Internal ~phase:E.Serving (Printexc.to_string e)
-        in
-        (try respond t ~fd oc (Protocol.Rejected { id = None; error })
-         with Sys_error _ | End_of_file -> ()))
-
-(* ------------------------------------------------------------------ *)
-(* Serve loop, drain, crash containment                                *)
-(* ------------------------------------------------------------------ *)
-
-let sever_connections t =
-  List.iter
-    (fun (fd, _) ->
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    (locked t (fun () -> t.conns))
-
-let join_connections t =
-  List.iter (fun (_, th) -> Thread.join th) (locked t (fun () -> t.conns))
-
-(* Drain: let requests that are already being answered finish (up to the
-   deadline), then sever the remaining connections — blocked reads see
-   EOF, threads exit — join them and take the pool down. *)
-let drain t =
-  let deadline = Unix.gettimeofday () +. t.cfg.drain_deadline_s in
-  let rec wait () =
-    if
-      locked t (fun () -> t.counters.busy) > 0
-      && Unix.gettimeofday () < deadline
-    then begin
-      Thread.delay 0.01;
-      wait ()
-    end
-  in
-  wait ();
-  (match t.journal with
-  | Some j ->
-    Journal.event j "drain"
-      [ ("busy", J.Int (locked t (fun () -> t.counters.busy))) ]
-  | None -> ());
-  (* checkpoint the hotness profile while the table is final: the next
-     tiered boot restores it and re-queues upgrades hottest-first *)
-  save_profile t;
-  sever_connections t;
-  join_connections t;
-  (* pending upgrades are abandoned (their fast entries persist under the
-     derived disk key and re-queue on the next tiered boot); the worker
-     must be joined before the pool it submits to goes down *)
-  stop_upgrader t;
-  Sched.Pool.shutdown t.pool
-
-let release_listener t =
-  if t.owns_listener then begin
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ -> ()
-  end
-
-let close_journal t =
-  if t.owns_journal then Option.iter Journal.close t.journal
-
-let serve_forever t =
-  let rec accept_loop () =
-    match Unix.accept t.listen_fd with
-    | fd, _ ->
-      if Fault.Injector.fire t.cfg.injector Fault.Injector.Daemon_kill then begin
-        (* the serve loop itself dies; connections are severed and the
-           supervisor (if any) restarts the loop on the same socket *)
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        failwith "injected daemon-kill: serve loop crashed"
-      end;
-      let thread = Thread.create (fun () -> handle_connection t fd) () in
-      locked t (fun () -> t.conns <- (fd, thread) :: t.conns);
-      accept_loop ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      if locked t (fun () -> t.stopped) then () else accept_loop ()
-    | exception Unix.Unix_error _ when locked t (fun () -> t.stopped) -> ()
-  in
-  match accept_loop () with
-  | () ->
-    (* clean stop: connections finish their in-flight requests (bounded by
-       the drain deadline), then the pool goes down and — standalone only —
-       the socket file disappears *)
-    drain t;
-    release_listener t;
-    close_journal t
-  | exception e ->
-    (* serve-loop crash: contain it — sever and join connections, stop the
-       pool — and hand the exception to the supervisor with the listening
-       socket still bound (supervised) or fully released (standalone) *)
-    let bt = Printexc.get_raw_backtrace () in
-    locked t (fun () -> t.draining <- true);
-    sever_connections t;
-    join_connections t;
-    (try stop_upgrader t with _ -> ());
-    (try Sched.Pool.shutdown t.pool with _ -> ());
-    release_listener t;
-    close_journal t;
-    Printexc.raise_with_backtrace e bt
-
-let run cfg = serve_forever (create cfg)
+      let unanswered = Endpoint.serve t.ep (dispatch t) in
+      Option.iter
+        (fun j -> Journal.event j "drain" [ ("busy", J.Int unanswered) ])
+        t.journal;
+      save_profile t)

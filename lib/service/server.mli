@@ -7,24 +7,26 @@
     cache hit whichever client sends it, and a service restart still
     starts warm from disk.
 
-    Concurrency model: the accept loop hands each connection to a
-    lightweight thread that parses newline-delimited JSON requests
-    ({!Protocol}) and blocks on the pool for compile work; compiles
-    themselves run on the pool's domains.  Requests from one connection
-    are answered in order; connections are independent.
+    Concurrency model: the server is a dispatch behind an {!Endpoint},
+    which owns the socket, one thread per connection, the framing and
+    the drain — the same connection path the fleet {!Router} answers
+    through.  A connection thread calls the dispatch for each valid
+    request and blocks on the pool for compile work; compiles themselves
+    run on the pool's domains.  The server arms the endpoint's fault
+    sites with its [injector].
 
     Robustness: admission control bounds the number of compile requests
     in flight — request [capacity + 1] is shed immediately with a
     structured [Overload] (exit 40) instead of queueing without bound —
     and an optional per-request watchdog settles a hung compile as a
     structured [Timeout] (exit 24), so one poisoned job never wedges the
-    daemon.  No client input can raise out of a connection thread: torn,
-    garbage and oversized frames get structured [Bad_request] answers
-    (exit 42) and, at worst, a severed connection.
+    daemon.  Torn, garbage and oversized frames get structured
+    [Bad_request] answers (exit 42) from the endpoint and, at worst, a
+    severed connection.
 
     Crash containment: created standalone, the server owns its socket and
     journal and releases both on exit.  Created by {!Supervisor} (with
-    [~listen_fd]/[~journal]/[~supervision]), it borrows them — a
+    [~listener]/[~journal]/[~supervision]), it borrows them — a
     serve-loop crash severs live connections, stops the pool, and
     re-raises with the listening socket still bound, so the supervisor
     restarts the loop without dropping the address.
@@ -34,10 +36,10 @@
     the startup recovery scan's counters surface in [health]/[stats].
 
     Graceful drain: a shutdown request, {!stop}, or SIGTERM-via-[stop]
-    flips the server into draining — new compile admissions are shed with
-    [Overload], requests already being answered finish (bounded by
-    [drain_deadline_s]), then remaining connections are severed and the
-    pool stops. *)
+    flips the endpoint into draining — new compile admissions are shed
+    with [Overload], requests already being answered finish (bounded by
+    [drain_deadline_s]), then remaining connections are severed, the
+    drain is journaled and the pool stops. *)
 
 type config = {
   socket_path : string;
@@ -95,14 +97,8 @@ val new_supervision : unit -> supervision
 
 type t
 
-val bind_listener : string -> Unix.file_descr
-(** Bind and listen on a Unix-domain socket path, replacing a stale
-    socket file.  Raises [Unix.Unix_error] on failure, [Invalid_argument]
-    if the path exists and is not a socket.  {!create} calls this;
-    {!Supervisor} calls it once and shares the fd across incarnations. *)
-
 val create :
-  ?listen_fd:Unix.file_descr ->
+  ?listener:Endpoint.listener ->
   ?journal:Journal.t * Journal.recovery ->
   ?supervision:supervision ->
   config ->
@@ -141,6 +137,3 @@ val health_json : t -> Observe.Json.t
 (** The [health] answer (schema 2): ["status"] ("ok"/"draining"),
     protocol version, uptime, in-flight count, capacity, plus the same
     members as the ["service"] stats object. *)
-
-val run : config -> unit
-(** [create] + [serve_forever] (standalone). *)

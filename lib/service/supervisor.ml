@@ -24,7 +24,7 @@ let default_config =
 
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
+  listener : Endpoint.listener;
   journal : (Journal.t * Journal.recovery) option;
   supervision : Server.supervision;
   mutex : Mutex.t;
@@ -37,7 +37,7 @@ let create cfg =
   (* Bind once, before the first incarnation: the listening socket (and
      its backlog) survives every serve-loop crash, so clients connecting
      during a restart queue instead of failing. *)
-  let listen_fd = Server.bind_listener cfg.server.Server.socket_path in
+  let listener = Endpoint.listen cfg.server.Server.socket_path in
   let supervision = Server.new_supervision () in
   let journal =
     match cfg.server.Server.state_dir with
@@ -50,7 +50,7 @@ let create cfg =
   in
   {
     cfg;
-    listen_fd;
+    listener;
     journal;
     supervision;
     mutex = Mutex.create ();
@@ -94,9 +94,7 @@ let journal_event t ev members =
   | None -> ()
 
 let cleanup t =
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (try Unix.unlink t.cfg.server.Server.socket_path
-   with Unix.Unix_error _ | Sys_error _ -> ());
+  Endpoint.release t.listener;
   match t.journal with Some (j, _) -> Journal.close j | None -> ()
 
 let run t =
@@ -104,7 +102,7 @@ let run t =
     if locked t (fun () -> t.stopping) then Ok ()
     else begin
       let server =
-        Server.create ~listen_fd:t.listen_fd ?journal:t.journal
+        Server.create ~listener:t.listener ?journal:t.journal
           ~supervision:t.supervision t.cfg.server
       in
       locked t (fun () -> t.current <- Some server);

@@ -5,9 +5,12 @@
    declares the primary shard down (and the in-process fallback when every
    shard is); per-tenant fair-queue admission (a greedy tenant is shed at
    the deadline, a second tenant is not starved); the monitor's ejection
-   of a crash-looping shard and its cooldown re-admission; and the shape
+   of a crash-looping shard and its cooldown re-admission; the shape
    of the router's health/stats/fleet documents, including the lone
-   daemon's structured rejection of the fleet op. *)
+   daemon's structured rejection of the fleet op, and the ordered member
+   names of every service document (test/service_documents.expected);
+   that a router and a lone daemon answer hostile input byte for byte
+   alike; and that a router shutdown drains replies already in flight. *)
 
 module J = Observe.Json
 module E = Fault.Ompgpu_error
@@ -49,6 +52,7 @@ let check_same_compiled what (expected : A.compiled) (got : A.compiled) =
 (* A fleet of in-process supervised shards behind a router, torn down even
    when the body raises.  [injector] arms router-level sites only. *)
 let with_fleet ?(shards = 2) ?(injector = Fault.Injector.none)
+    ?(shard_injector = Fault.Injector.none)
     ?(router_cfg = fun (c : Router.config) -> c) f =
   let dir = fresh_dir () in
   let backends =
@@ -64,6 +68,7 @@ let with_fleet ?(shards = 2) ?(injector = Fault.Injector.none)
                 domains = 2;
                 capacity = 8;
                 cache_dir = Some (Filename.concat dir "cache");
+                injector = shard_injector;
               };
           }
           ~name)
@@ -92,6 +97,21 @@ let with_fleet ?(shards = 2) ?(injector = Fault.Injector.none)
   | exception e ->
     (try finish () with _ -> ());
     raise e
+
+(* A lone in-process daemon on a fresh socket, stopped even when the body
+   raises. *)
+let with_daemon ?cache_dir f =
+  let socket_path = Filename.concat (fresh_dir ()) "lone.sock" in
+  let server =
+    Service.Server.create
+      { Service.Server.default_config with Service.Server.socket_path; cache_dir }
+  in
+  let thread = Thread.create Service.Server.serve_forever server in
+  Fun.protect
+    ~finally:(fun () ->
+      Service.Server.stop server;
+      Thread.join thread)
+    (fun () -> f socket_path)
 
 (* Poll [probe] until it holds or the deadline passes; the fleet's state
    machine advances on prober/monitor threads, not on ours. *)
@@ -454,6 +474,222 @@ let test_single_daemon_rejects_fleet_op () =
       | Error e -> Alcotest.failf "shutdown: %s" (E.to_string e));
   Thread.join thread
 
+(* ------------------------------------------------------------------ *)
+(* Document shape: ordered member names, values ignored                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every member path of a document in order of first appearance: an
+   object member is ["parent.name"], a list's elements share
+   ["parent[]"].  Values are ignored, so the paths pin exactly what a
+   reader of the document (benchmark/sut.ml, bench_gate, operators'
+   scripts) may rely on. *)
+let key_paths doc =
+  let rec go prefix acc = function
+    | J.Obj members ->
+      List.fold_left
+        (fun acc (k, v) ->
+          let path = if prefix = "" then k else prefix ^ "." ^ k in
+          go path (if List.mem path acc then acc else path :: acc) v)
+        acc members
+    | J.List items -> List.fold_left (go (prefix ^ "[]")) acc items
+    | _ -> acc
+  in
+  List.rev (go "" [] doc)
+
+let render_documents docs =
+  String.concat ""
+    (List.map
+       (fun (name, doc) ->
+         Printf.sprintf "[%s]\n%s" name
+           (String.concat "" (List.map (fun p -> p ^ "\n") (key_paths doc))))
+       docs)
+
+let documents_golden () =
+  let path =
+    if Sys.file_exists "service_documents.expected" then
+      "service_documents.expected"
+    else "test/service_documents.expected"
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+let test_documents_golden () =
+  let daemon =
+    with_daemon ~cache_dir:(Filename.concat (fresh_dir ()) "cache")
+      (fun socket_path ->
+        Service.Client.with_connection ~socket_path (fun c ->
+            [
+              ("daemon stats", ok_exn (Service.Client.stats c ()));
+              ("daemon health", ok_exn (Service.Client.health c ()));
+            ]))
+  in
+  let fleet =
+    with_fleet ~shards:2 (fun ~router:_ ~router_socket ~backends:_ ->
+        Service.Client.with_connection ~socket_path:router_socket (fun c ->
+            (* every shard up, so each fleet entry carries its live stats *)
+            eventually "both shards probed up" (fun () ->
+                Option.bind
+                  (J.member "shards_up" (ok_exn (Service.Client.health c ())))
+                  J.to_int
+                = Some 2);
+            [
+              ("router health", ok_exn (Service.Client.health c ()));
+              ("router stats", ok_exn (Service.Client.stats c ()));
+              ("router fleet", ok_exn (Service.Client.fleet c ()));
+            ]))
+  in
+  Alcotest.(check string)
+    "ordered member paths match test/service_documents.expected"
+    (documents_golden ())
+    (render_documents (daemon @ fleet))
+
+(* ------------------------------------------------------------------ *)
+(* Hostile input: a router answers exactly as a lone daemon does       *)
+(* ------------------------------------------------------------------ *)
+
+(* One hostile exchange on a fresh connection: write [bytes], half-close,
+   and collect every reply line until the peer hangs up.  A peer that
+   stops reading (the oversized frame) may fail the write or reset the
+   stream after its answer; either ends the exchange, not the test. *)
+let exchange socket_path bytes =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket_path);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      let oc = Unix.out_channel_of_descr fd in
+      (try
+         Out_channel.output_string oc bytes;
+         Out_channel.flush oc;
+         Unix.shutdown fd Unix.SHUTDOWN_SEND
+       with Sys_error _ | Unix.Unix_error _ -> ());
+      let ic = Unix.in_channel_of_descr fd in
+      let rec lines acc =
+        match In_channel.input_line ic with
+        | Some l -> lines (l :: acc)
+        | None -> List.rev acc
+        | exception Sys_error _ -> List.rev acc
+      in
+      lines [])
+
+let hostile_inputs =
+  [
+    ("garbage bytes", "\x01\x02 not json at all\n");
+    ("a JSON string", "\"hello\"\n");
+    ("an unsupported version", {|{"v":99,"id":"v99","op":"stats"}|} ^ "\n");
+    ("an unknown op", {|{"v":3,"id":"u1","op":"frobnicate"}|} ^ "\n");
+    ("a request without an id", {|{"v":3,"op":"stats"}|} ^ "\n");
+    ("a torn frame", {|{"v":3,"id":"torn","op":"sta|});
+    ( "an oversized frame",
+      String.make (Service.Protocol.max_frame_bytes + 1024) 'a' ^ "\n" );
+  ]
+
+let bad_count c =
+  Option.bind
+    (J.member "requests" (ok_exn (Service.Client.stats c ())))
+    (fun r -> Option.bind (J.member "bad" r) J.to_int)
+
+let test_router_matches_daemon_on_hostile_input () =
+  let daemon_replies, daemon_bad =
+    with_daemon (fun socket_path ->
+        let replies =
+          List.map (fun (_, bytes) -> exchange socket_path bytes) hostile_inputs
+        in
+        (replies, Service.Client.with_connection ~socket_path bad_count))
+  in
+  (* the server's own fault sites armed at the router, as [mompd route
+     --inject] arms them: only a server may fire them *)
+  let injector =
+    Fault.Injector.create
+      [
+        { Fault.Injector.site = Fault.Injector.Conn_drop; rate = 1.0; seed = 3 };
+        { Fault.Injector.site = Fault.Injector.Partial_frame; rate = 1.0; seed = 3 };
+      ]
+  in
+  with_fleet ~shards:1 ~injector (fun ~router:_ ~router_socket ~backends:_ ->
+      List.iter2
+        (fun (what, bytes) expected ->
+          Alcotest.(check (list string))
+            (what ^ ": router replies byte-identical to the daemon's")
+            expected
+            (exchange router_socket bytes))
+        hostile_inputs daemon_replies;
+      Alcotest.(check bool) "every input was answered" true
+        (List.for_all (fun r -> List.length r = 1) daemon_replies);
+      Service.Client.with_connection ~socket_path:router_socket (fun c ->
+          Alcotest.(check (option int))
+            "router and daemon count the same bad requests" daemon_bad
+            (bad_count c);
+          let file = "after-hostile.c" in
+          let expected = A.compile_buffered ~config ~file source in
+          let got = ok_exn (Service.Client.compile c ~file ~config source) in
+          check_same_compiled "compile routed after the hostile peers" expected
+            got;
+          let routed =
+            Option.bind
+              (J.member "requests" (ok_exn (Service.Client.stats c ())))
+              (fun r -> Option.bind (J.member "routed" r) J.to_int)
+          in
+          Alcotest.(check (option int)) "the compile went to the shard" (Some 1)
+            routed))
+
+(* ------------------------------------------------------------------ *)
+(* Drain: a router shutdown answers what is already in flight          *)
+(* ------------------------------------------------------------------ *)
+
+let test_router_drains_in_flight () =
+  (* every shard reply waits 150ms (slow-client), so A's compile is still
+     being relayed when B's shutdown reaches the router *)
+  let shard_injector =
+    Fault.Injector.create
+      [ { Fault.Injector.site = Fault.Injector.Slow_client; rate = 1.0; seed = 1 } ]
+  in
+  with_fleet ~shards:1 ~shard_injector
+    (fun ~router:_ ~router_socket ~backends:_ ->
+      let file = "drain.c" in
+      let request =
+        Service.Protocol.Compile { id = "a"; file; source; config; tenant = None }
+      in
+      let expected =
+        J.to_string ~minify:true
+          (Service.Protocol.response_to_json
+             (Service.Protocol.Compiled
+                {
+                  id = "a";
+                  op = "run";
+                  result = A.compile_buffered ~config ~file source;
+                }))
+      in
+      let line =
+        J.to_string ~minify:true (Service.Protocol.request_to_json request)
+      in
+      let a_replies = ref [] in
+      let a =
+        Thread.create
+          (fun () -> a_replies := exchange router_socket (line ^ "\n"))
+          ()
+      in
+      let late =
+        Service.Client.connect ~deadline_s:10. ~socket_path:router_socket ()
+      in
+      eventually "A's compile admitted at the router" (fun () ->
+          Service.Client.with_connection ~socket_path:router_socket (fun c ->
+              Option.bind
+                (J.member "in_flight" (ok_exn (Service.Client.health c ())))
+                J.to_int
+              = Some 1));
+      Service.Client.with_connection ~socket_path:router_socket (fun b ->
+          ok_exn (Service.Client.shutdown b ()));
+      (* a compile arriving mid-drain, on a connection opened before it *)
+      let shed = Service.Client.compile late ~file ~config source in
+      Service.Client.close late;
+      Thread.join a;
+      Alcotest.(check (list string))
+        "the in-flight reply was delivered byte for byte" [ expected ]
+        !a_replies;
+      Alcotest.(check int) "a compile arriving mid-drain is shed" 40
+        (ok_exn shed).A.exit_code)
+
 let suite =
   [
     Alcotest.test_case "ring: deterministic, order-insensitive, covering" `Quick
@@ -476,4 +712,10 @@ let suite =
       test_documents_shape;
     Alcotest.test_case "protocol: lone daemon rejects the fleet op" `Quick
       test_single_daemon_rejects_fleet_op;
+    Alcotest.test_case "documents: ordered member paths match the golden"
+      `Quick test_documents_golden;
+    Alcotest.test_case "protocol: router answers hostile input as a daemon"
+      `Quick test_router_matches_daemon_on_hostile_input;
+    Alcotest.test_case "drain: router shutdown delivers in-flight replies"
+      `Quick test_router_drains_in_flight;
   ]

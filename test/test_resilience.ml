@@ -153,13 +153,17 @@ let test_journal_recovery_scan () =
 (* Protocol fuzz: hostile frames never raise                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The endpoint's framing: one raw frame, then its decoding. *)
 let read_message_of_bytes bytes =
   let path = Filename.temp_file "frame" ".bin" in
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      In_channel.with_open_bin path (fun ic -> Service.Protocol.read_message ic))
+      In_channel.with_open_bin path (fun ic ->
+          match Service.Protocol.read_frame ic with
+          | (`Eof | `Overflow _) as r -> r
+          | `Line line -> `Msg (Service.Protocol.decode_line line)))
 
 let test_protocol_hostile_frames () =
   (match read_message_of_bytes "" with

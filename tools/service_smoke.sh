@@ -10,7 +10,11 @@
 #      asserting every request gets exactly one stable JSON response line
 #      and structured rejections stay structured;
 #   3. shuts the daemon down cleanly and checks it exits 0 and removes
-#      its socket.
+#      its socket;
+#   4. sends the same request file through a one-shard `mompd route`:
+#      every reply line but the two `stats` answers (the router's own
+#      document, by design) must be byte-identical to the lone daemon's,
+#      and the router must exit 0 with its and its shard's sockets gone.
 #
 # Exit codes matched here are API (lib/fault/ompgpu_error.ml): 14
 # pass-crash, 40 overload, 42 bad-request (41 is the supervisor's
@@ -23,8 +27,13 @@ MOMPD=${MOMPD:-_build/default/bin/mompd.exe}
 WORK=$(mktemp -d)
 # keep the socket path short: Unix sockets cap at ~108 bytes
 SOCK=$(mktemp -u /tmp/mompd-smoke-XXXXXX.sock)
+RSOCK=$(mktemp -u /tmp/mompd-smoke-r-XXXXXX.sock)
 DPID=
-trap 'rm -rf "$WORK"; rm -f "$SOCK"; [ -n "$DPID" ] && kill "$DPID" 2>/dev/null || true' EXIT
+RPID=
+trap 'rm -rf "$WORK"; rm -f "$SOCK" "$RSOCK";
+      [ -n "$DPID" ] && kill "$DPID" 2>/dev/null;
+      [ -n "$RPID" ] && kill "$RPID" 2>/dev/null;
+      true' EXIT
 
 fail() { echo "service-smoke: FAIL: $*" >&2; exit 1; }
 
@@ -124,4 +133,38 @@ wait "$DPID" || fail "daemon exited nonzero after shutdown"
 DPID=
 [ ! -e "$SOCK" ] || fail "daemon left its socket file behind"
 
-echo "service-smoke: OK (52 responses, byte-identical daemon compiles, clean shutdown)"
+# --- 4. the same requests through a one-shard fleet router ------------------
+
+"$MOMPD" route --socket "$RSOCK" --shards 1 --fleet-dir "$WORK/fleet" \
+  2> "$WORK/router.log" &
+RPID=$!
+i=0
+until "$MOMPD" health --socket "$RSOCK" 2>/dev/null | grep -q '"shards_up": 1'; do
+  i=$((i+1))
+  [ "$i" -gt 100 ] && fail "router did not come up (see $WORK/router.log)"
+  kill -0 "$RPID" 2>/dev/null || fail "router died on startup: $(cat "$WORK/router.log")"
+  sleep 0.1
+done
+
+RRESP="$WORK/router-responses.jsonl"
+"$MOMPD" request --socket "$RSOCK" < "$REQ" > "$RRESP" \
+  || fail "mompd request through the router exited nonzero"
+[ "$(wc -l < "$RRESP")" -eq 52 ] \
+  || fail "expected 52 router response lines, got $(wc -l < "$RRESP")"
+[ "$(grep -c '"op":"stats".*"role":"router"' "$RRESP")" -eq 2 ] \
+  || fail "the router's stats answers are not its own document"
+# the stats answers differ by design; every other line must not
+not_stats() { grep -v -e '^{"v":3,"id":"s1",' -e '^{"v":3,"id":"s2",' "$1"; }
+not_stats "$RESP" > "$WORK/daemon-rest.jsonl"
+not_stats "$RRESP" > "$WORK/router-rest.jsonl"
+[ "$(wc -l < "$WORK/router-rest.jsonl")" -eq 50 ] \
+  || fail "expected 50 non-stats router response lines"
+cmp -s "$WORK/daemon-rest.jsonl" "$WORK/router-rest.jsonl" \
+  || fail "router replies differ from the lone daemon's"
+
+wait "$RPID" || fail "router exited nonzero after shutdown"
+RPID=
+[ ! -e "$RSOCK" ] || fail "router left its socket file behind"
+[ ! -e "$WORK/fleet/shard-0.sock" ] || fail "router left its shard's socket behind"
+
+echo "service-smoke: OK (52 responses, byte-identical daemon compiles, clean shutdown; router replies byte-identical, clean fleet shutdown)"
