@@ -113,12 +113,16 @@ let coin ~seed ~site ~n =
   (* top 53 bits → uniform float in [0,1) *)
   Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
 
-let fire t site =
-  match List.find_opt (fun a -> a.spec.site = site) t with
-  | None -> false
-  | Some a ->
-    let n = Atomic.fetch_and_add a.counter 1 in
-    coin ~seed:a.spec.seed ~site ~n < a.spec.rate
+(* A direct walk: a [List.find_opt] predicate would allocate a closure on
+   every query, and the simulator queries [Sim_trap] once per instruction. *)
+let rec fire t site =
+  match t with
+  | [] -> false
+  | a :: rest ->
+    if a.spec.site <> site then fire rest site
+    else
+      let n = Atomic.fetch_and_add a.counter 1 in
+      coin ~seed:a.spec.seed ~site ~n < a.spec.rate
 
 let derive t tag =
   let tag64 = splitmix64 (Int64.of_int (Hashtbl.hash tag)) in

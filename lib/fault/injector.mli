@@ -68,7 +68,9 @@ val is_none : t -> bool
 val specs : t -> spec list
 
 val fire : t -> site -> bool
-(** Draw the site's next coin; false when the site is not armed. *)
+(** Draw the site's next coin; false when the site is not armed.  A query
+    of a site that is not armed allocates nothing: the simulator queries
+    [Sim_trap] once per instruction. *)
 
 val derive : t -> string -> t
 (** Child injector with per-site seeds re-derived from [tag] (and fresh

@@ -7,6 +7,11 @@
    threads to the maximum arrival time plus the synchronization cost, which
    yields a causally consistent timing model without lock-step emulation.
 
+   The interpreter does not run MiniIR directly.  [create] decodes every
+   function of the module once into a plan (below) that resolves every name
+   up front, so the hot loop does no lookups and allocates only the values
+   it produces.
+
    The device runtime's executable semantics (__kmpc_* interception) live
    here; its *static* semantics (what the optimizer may assume) live in
    [Devrt.Registry]. *)
@@ -35,30 +40,84 @@ type frame_kind =
   | Parallel_body_spmd  (* SPMD-mode region body: implicit barrier on return *)
   | Parallel_body_nested
 
-(* Per-function execution plan, built once per interpreter and shared by
-   every frame of that function: the register-file size (registers live in a
-   flat array, not a hashtable) and a label -> block table with a dense
-   per-interpreter block id (the divergence tables key on ids, not on
-   "func/block" strings). *)
-type bentry = { bblock : Block.t; bid : int }
+(* ------------------------------------------------------------------ *)
+(* Decoded plans                                                       *)
+(* ------------------------------------------------------------------ *)
 
-type fplan = { pbound : int; pblocks : (string, bentry) Hashtbl.t }
+(* A function's plan, decoded once per interpreter and shared by every
+   frame of that function.  Its blocks sit in an array, in function order,
+   and each runs its instructions by a pc, then its terminator.  Decoding
+   never raises: an unknown global, a missing label or an unknown callee
+   decodes to an operand, target or callee that raises its error only when
+   it is executed, so a broken path that never runs stays harmless. *)
+
+type operand =
+  | Reg of int  (* register slot *)
+  | Arg of int  (* argument index *)
+  | Imm of Rvalue.t  (* a constant, a function, or a global-space global *)
+  | Shared_global of int  (* offset in the running team's shared arena *)
+  | Unknown_global of string
+
+(* A branch target: the block's index in the plan, or -1 when no block has
+   the label (the last block with a label is the one it names). *)
+type target = { tblock : int; tlabel : string }
+
+type callee =
+  | Runtime of string  (* a device runtime function, interpreted natively *)
+  | Defined of int  (* a module function: its index in [program.plans] *)
+  | Unknown of string  (* raises when called *)
+  | Indirect of operand  (* resolved by name when called *)
+
+(* One instruction; the first int is its result register ([Call]: -1 when
+   it has no result). *)
+type op =
+  | Alloca of int * int  (* bytes *)
+  | Load of int * Types.t * operand
+  | Store of Types.t * operand * operand  (* type, value, pointer *)
+  | Gep of int * operand * operand
+  | Bin of int * Instr.bin * Types.t * operand * operand
+  | Icmp of int * Instr.icmp * Types.t * operand * operand
+  | Fcmp of int * Instr.fcmp * operand * operand
+  | Cast of int * Instr.cast * Types.t * operand
+  | Select of int * operand * operand * operand
+  | Atomicrmw of int * Instr.atomic * Types.t * operand * operand
+  | Call of int * callee * operand list
+
+type term =
+  | Br of target
+  | Cbr of operand * target * target
+  | Switch of operand * (int64 * target) array * target  (* first match wins *)
+  | Ret of operand option
+  | Unreachable
+
+type block = {
+  code : op array;
+  term : term;
+  site : int;  (* dense per-interpreter block id: keys the divergence tables *)
+  site_name : string;  (* "func/block", for barrier and deadlock reports *)
+}
+
+type plan = { func : Func.t; nregs : int; blocks : block array  (* entry first *) }
+
+type program = {
+  plans : plan array;  (* the module's functions, in module order *)
+  by_name : (string, int) Hashtbl.t;  (* index in [plans]; the last definition wins *)
+  sites : int ref;  (* next block id *)
+}
 
 (* Distinguished "register never written" marker; physical equality only. *)
 let unset : Rvalue.t = Fn "\000unset"
 
 type frame = {
-  ffunc : Func.t;
-  fplan : fplan;
-  mutable fblock : Block.t;
-  mutable fbid : int;  (* id of [fblock] in [fplan] *)
-  mutable fcursor : Instr.t list;  (* instructions left in [fblock] *)
+  fplan : plan;
+  mutable fblock : block;
+  mutable fpc : int;  (* next instruction of [fblock]; past the end: its terminator *)
   fregs : Rvalue.t array;
   fargs : Rvalue.t array;
   flocal_base : int;
   fkind : frame_kind;
-  (* register of the calling instruction expecting our return value *)
-  fret_reg : int option;
+  (* register of the calling instruction expecting our return value, or -1 *)
+  fret_reg : int;
 }
 
 type thread = {
@@ -72,8 +131,8 @@ type thread = {
   mutable last_work_gen : int;
   (* value delivered to the blocked runtime call on wakeup *)
   mutable wake_value : Rvalue.t;
-  (* result register of the runtime call this thread is blocked in *)
-  mutable blocked_reg : int option;
+  (* result register of the runtime call this thread is blocked in, or -1 *)
+  mutable blocked_reg : int;
   (* true when parked in __kmpc_worker_wait_id (id protocol, post-CSM) *)
   mutable wait_wants_id : bool;
   (* "func/block" of the barrier this thread is parked in ("" when not);
@@ -82,8 +141,8 @@ type thread = {
   (* device-heap bytes this thread currently holds (globalization spills) *)
   mutable heap_live : int;
   (* per branch site (block id), how many times this thread has executed
-     it; indexes the team's divergence table *)
-  site_execs : (int, int) Hashtbl.t;
+     it; indexes the team's divergence table (grown on demand) *)
+  mutable site_execs : int array;
 }
 
 type work = {
@@ -110,10 +169,11 @@ type team = {
   (* shared-stack regions allocated AoS by __kmpc_alloc_shared: accesses
      into them are uncoalesced *)
   mutable uncoalesced : (int * int) list;
-  (* first target taken at (branch site, per-thread execution index) — the
-     key packs [block id lsl 12 lor index] (index < divergence_window): a
-     later thread choosing differently is a divergent-branch event *)
-  branch_first : (int, string) Hashtbl.t;
+  (* per branch site (block id), the target block first taken at each
+     per-thread execution index (< divergence_window; [no_target] until
+     taken): a later thread choosing differently is a divergent-branch
+     event.  Both levels grow on demand. *)
+  mutable branch_first : int array array;
   launch_teams : int;
   launch_threads : int;
 }
@@ -158,19 +218,95 @@ type t = {
   injector : Fault.Injector.t;
   (* the team the currently-simulated thread belongs to (None = host) *)
   mutable cur_team : team option;
-  (* name -> function, built once; [Irmod.find_func] scans a list and the
-     interpreter resolves a callee on every call instruction *)
-  funcs : (string, Func.t) Hashtbl.t;
-  plans : (string, fplan) Hashtbl.t;  (* per-function plans, built lazily *)
-  mutable bid_gen : int;  (* next block id for plans *)
+  prog : program;
 }
+
+let decode_operand (mem : Mem.t) (v : Value.t) =
+  match v with
+  | Value.Const c -> Imm (of_const c)
+  | Value.Reg id -> Reg id
+  | Value.Arg i -> Arg i
+  | Value.Func name -> Imm (Fn name)
+  | Value.Global name -> (
+    match Hashtbl.find_opt mem.Mem.globals_layout name with
+    | Some addr -> Imm (P { sp = Sglobal; addr })
+    | None -> (
+      match Hashtbl.find_opt mem.Mem.shared_layout name with
+      | Some addr -> Shared_global addr
+      | None -> Unknown_global name))
+
+(* Runtime functions win over module functions of the same name, as a
+   call resolves them. *)
+let decode_callee mem by_name = function
+  | Instr.Indirect fv -> Indirect (decode_operand mem fv)
+  | Instr.Direct name -> (
+    match Devrt.Registry.lookup name with
+    | Some _ -> Runtime name
+    | None -> (
+      match Hashtbl.find_opt by_name name with
+      | Some k -> Defined k
+      | None -> Unknown name))
+
+let decode_instr mem by_name (i : Instr.t) =
+  let o = decode_operand mem and id = i.Instr.id in
+  match i.Instr.kind with
+  | Instr.Alloca (ty, n) ->
+    Alloca (id, Support.Util.round_up_to (max 1 (Types.size_of ty * n)) ~multiple:8)
+  | Instr.Load (ty, p) -> Load (id, ty, o p)
+  | Instr.Store (ty, v, p) -> Store (ty, o v, o p)
+  | Instr.Gep (_, base, off) -> Gep (id, o base, o off)
+  | Instr.Bin (op, ty, a, b) -> Bin (id, op, ty, o a, o b)
+  | Instr.Icmp (cc, ty, a, b) -> Icmp (id, cc, ty, o a, o b)
+  | Instr.Fcmp (cc, _, a, b) -> Fcmp (id, cc, o a, o b)
+  | Instr.Cast (op, ty, v) -> Cast (id, op, ty, o v)
+  | Instr.Select (_, c, a, b) -> Select (id, o c, o a, o b)
+  | Instr.Atomicrmw (op, ty, p, v) -> Atomicrmw (id, op, ty, o p, o v)
+  | Instr.Call (_, callee, args) ->
+    Call
+      ( (if Instr.has_result i then id else -1),
+        decode_callee mem by_name callee,
+        List.map o args )
+
+let decode_func mem by_name sites (f : Func.t) =
+  let index = Hashtbl.create 16 in
+  List.iteri (fun k (b : Block.t) -> Hashtbl.replace index b.Block.label k) f.Func.blocks;
+  let target l =
+    { tblock = Option.value (Hashtbl.find_opt index l) ~default:(-1); tlabel = l }
+  in
+  let o = decode_operand mem in
+  let nregs = ref 1 in
+  let block (b : Block.t) =
+    List.iter (fun (i : Instr.t) -> nregs := max !nregs (i.Instr.id + 1)) b.Block.instrs;
+    let term =
+      match b.Block.term with
+      | Block.Br l -> Br (target l)
+      | Block.Cbr (v, l1, l2) -> Cbr (o v, target l1, target l2)
+      | Block.Switch (v, cases, default) ->
+        Switch
+          (o v, Array.of_list (List.map (fun (x, l) -> (x, target l)) cases), target default)
+      | Block.Ret v -> Ret (Option.map o v)
+      | Block.Unreachable -> Unreachable
+    in
+    let site = !sites in
+    incr sites;
+    {
+      code = Array.of_list (List.map (decode_instr mem by_name) b.Block.instrs);
+      term;
+      site;
+      site_name = f.Func.name ^ "/" ^ b.Block.label;
+    }
+  in
+  let blocks = Array.of_list (List.map block f.Func.blocks) in
+  { func = f; nregs = !nregs; blocks }
 
 let create ?(fuel = 200_000_000) ?(injector = Fault.Injector.none)
     ?scratch (machine : Machine.t) (m : Irmod.t) =
   let mem = Mem.create ~injector ?scratch machine in
   Mem.layout_module mem m;
-  let funcs = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace funcs f.Func.name f) m.Irmod.funcs;
+  let by_name = Hashtbl.create 64 in
+  List.iteri (fun k f -> Hashtbl.replace by_name f.Func.name k) m.Irmod.funcs;
+  let sites = ref 0 in
+  let plans = Array.of_list (List.map (decode_func mem by_name sites) m.Irmod.funcs) in
   {
     m;
     machine;
@@ -182,35 +318,24 @@ let create ?(fuel = 200_000_000) ?(injector = Fault.Injector.none)
     fuel;
     injector;
     cur_team = None;
-    funcs;
-    plans = Hashtbl.create 64;
-    bid_gen = 0;
+    prog = { plans; by_name; sites };
   }
 
 (* Hand the memory arenas back to the scratch pool (when one was attached).
    The interpreter must not be used afterwards. *)
 let release t = Mem.release t.mem
 
-let find_func t name = Hashtbl.find_opt t.funcs name
+let plan_named t name =
+  match Hashtbl.find_opt t.prog.by_name name with
+  | Some k -> Some t.prog.plans.(k)
+  | None -> None
 
-let plan_for t (f : Func.t) =
-  match Hashtbl.find_opt t.plans f.Func.name with
-  | Some p -> p
-  | None ->
-    let bound = ref 0 in
-    let pblocks = Hashtbl.create 16 in
-    List.iter
-      (fun (b : Block.t) ->
-        let id = t.bid_gen in
-        t.bid_gen <- t.bid_gen + 1;
-        Hashtbl.replace pblocks b.Block.label { bblock = b; bid = id };
-        List.iter
-          (fun (i : Instr.t) -> if i.Instr.id >= !bound then bound := i.Instr.id + 1)
-          b.Block.instrs)
-      f.Func.blocks;
-    let p = { pbound = max 1 !bound; pblocks } in
-    Hashtbl.replace t.plans f.Func.name p;
-    p
+(* The plan of [f]; a function the module does not hold (a kernel handed to
+   [launch_kernel] directly) is decoded on the spot. *)
+let plan_of t (f : Func.t) =
+  match plan_named t f.Func.name with
+  | Some p when p.func == f -> p
+  | _ -> decode_func t.mem t.prog.by_name t.prog.sites f
 
 let costs t = t.machine.Machine.costs
 
@@ -223,25 +348,29 @@ let cur_frame th =
   | f :: _ -> f
   | [] -> error "thread %d has no frame" th.gid
 
-let team_for_globals t th =
-  ignore th;
-  match t.cur_team with Some team -> team.team_uid | None -> -1
-
-let eval t th (v : Value.t) : Rvalue.t =
-  match v with
-  | Value.Const c -> of_const c
-  | Value.Reg id ->
-    let f = cur_frame th in
+let eval t fr = function
+  | Reg id ->
     let rv =
-      if id >= 0 && id < Array.length f.fregs then Array.unsafe_get f.fregs id
-      else unset
+      if id >= 0 && id < Array.length fr.fregs then Array.unsafe_get fr.fregs id else unset
     in
-    if rv == unset then error "read of unset register %%%d in @%s" id f.ffunc.Func.name
+    if rv == unset then error "read of unset register %%%d in @%s" id fr.fplan.func.Func.name
     else rv
-  | Value.Arg i -> (cur_frame th).fargs.(i)
-  | Value.Global name -> P (Mem.global_addr t.mem name ~team:(team_for_globals t th))
-  | Value.Func name -> Fn name
+  | Arg i -> fr.fargs.(i)
+  | Imm v -> v
+  | Shared_global addr ->
+    let team = match t.cur_team with Some team -> team.team_uid | None -> -1 in
+    P { sp = Sshared team; addr }
+  | Unknown_global name -> error "unknown global @%s" name
 
+(* Left to right, as the call's arguments are evaluated. *)
+let rec eval_args t fr = function
+  | [] -> []
+  | v :: rest ->
+    let rv = eval t fr v in
+    rv :: eval_args t fr rest
+
+(* The result of a runtime call goes to the frame that is current after the
+   call, which is the region's frame when the call pushed one. *)
 let set_reg th id rv = (cur_frame th).fregs.(id) <- rv
 
 (* ------------------------------------------------------------------ *)
@@ -367,9 +496,7 @@ let access_cost t (p : ptr) =
     else c.Machine.global_access
   | Sshared uid -> (
     match t.cur_team with
-    | Some team
-      when team.team_uid = uid
-           && List.exists (fun (a, b) -> p.addr >= a && p.addr < b) team.uncoalesced ->
+    | Some team when team.team_uid = uid && Mem.in_ranges p.addr team.uncoalesced ->
       c.Machine.shared_uncoalesced_access
     | _ -> c.Machine.shared_access)
   | Slocal _ -> c.Machine.local_access
@@ -412,21 +539,35 @@ let count_atomic t (p : ptr) =
    (divergence there repeats the early pattern). *)
 let divergence_window = 4096
 
-let note_branch t th ~target =
+let no_target = min_int
+
+(* A copy of [a] grown by doubling, new slots [fill], so [i] is in range. *)
+let grow a i fill =
+  let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* [fr] takes the branch at the end of its block to block [target]; the
+   site identifies the function, so block indices compare like labels. *)
+let note_branch t th fr target =
   match t.cur_team with
   | Some team when Array.length team.threads > 1 -> (
     match stats_top t with
     | None -> ()
     | Some s ->
-      let site = (cur_frame th).fbid in
-      let n = match Hashtbl.find_opt th.site_execs site with Some n -> n | None -> 0 in
-      Hashtbl.replace th.site_execs site (n + 1);
+      let site = fr.fblock.site in
+      if site >= Array.length th.site_execs then th.site_execs <- grow th.site_execs site 0;
+      let n = th.site_execs.(site) in
+      th.site_execs.(site) <- n + 1;
       if n < divergence_window then begin
-        let key = (site lsl 12) lor n in
-        match Hashtbl.find_opt team.branch_first key with
-        | None -> Hashtbl.add team.branch_first key target
-        | Some first when String.equal first target -> ()
-        | Some _ -> s.divergent_branches <- s.divergent_branches + 1
+        if site >= Array.length team.branch_first then
+          team.branch_first <- grow team.branch_first site [||];
+        if n >= Array.length team.branch_first.(site) then
+          team.branch_first.(site) <- grow team.branch_first.(site) n no_target;
+        let firsts = team.branch_first.(site) in
+        let first = firsts.(n) in
+        if first = no_target then firsts.(n) <- target
+        else if first <> target then s.divergent_branches <- s.divergent_branches + 1
       end)
   | _ -> ()
 
@@ -448,7 +589,7 @@ let barrier_expected team =
    frame was popped, so fall back to the caller frame (or a fixed tag). *)
 let thread_site th =
   match th.stack with
-  | f :: _ -> f.ffunc.Func.name ^ "/" ^ f.fblock.Block.label
+  | f :: _ -> f.fblock.site_name
   | [] -> "<region-exit>"
 
 (* Thread [th] arrives at a team barrier.  Returns [true] if the thread may
@@ -532,24 +673,16 @@ let finish_join t team =
 (* Function call machinery                                             *)
 (* ------------------------------------------------------------------ *)
 
-let push_frame t th ?(kind = Normal) ?ret_reg (f : Func.t) args =
-  if Func.is_declaration f then error "call to undefined function @%s" f.Func.name;
-  let plan = plan_for t f in
-  let entry = Func.entry f in
-  let eb =
-    match Hashtbl.find_opt plan.pblocks entry.Block.label with
-    | Some eb -> eb
-    | None -> error "entry block of @%s missing from its plan" f.Func.name
-  in
+let push_frame th ~kind ~ret_reg plan args =
+  if Array.length plan.blocks = 0 then
+    error "call to undefined function @%s" plan.func.Func.name;
   let frame =
     {
-      ffunc = f;
       fplan = plan;
-      fblock = entry;
-      fbid = eb.bid;
-      fcursor = entry.Block.instrs;
-      fregs = Array.make plan.pbound unset;
-      fargs = Array.of_list args;
+      fblock = plan.blocks.(0);
+      fpc = 0;
+      fregs = Array.make plan.nregs unset;
+      fargs = args;
       flocal_base = th.local_sp;
       fkind = kind;
       fret_reg = ret_reg;
@@ -578,8 +711,8 @@ let pop_frame t team_opt th (ret : Rvalue.t) =
       | Some team -> ignore (barrier_enter t team th)
       | None -> ())
     | Parallel_body_nested -> th.level <- th.level - 1);
-    (match (rest, frame.fret_reg) with
-    | caller :: _, Some reg -> caller.fregs.(reg) <- ret
+    (match rest with
+    | caller :: _ when frame.fret_reg >= 0 -> caller.fregs.(frame.fret_reg) <- ret
     | _ -> ());
     rest <> []
 
@@ -760,23 +893,23 @@ let device_runtime_call t team th name (args : Rvalue.t list) : rt_result =
       | v when is_null v -> ""
       | _ -> error "parallel_51: bad function operand"
     in
-    let resolve_fn () =
-      match find_func t fname with
-      | Some f -> f
+    let enter kind =
+      match plan_named t fname with
+      | Some plan -> push_frame th ~kind ~ret_reg:(-1) plan [| argsv |]
       | None -> error "parallel_51: unknown function %s" fname
     in
     if th.level > 0 then begin
       (* nested parallelism executes sequentially on the encountering thread *)
       charge th c.Machine.call;
       th.level <- th.level + 1;
-      push_frame t th ~kind:Parallel_body_nested (resolve_fn ()) [ argsv ];
+      enter Parallel_body_nested;
       Done Undef
     end
     else if team.exec_spmd then begin
       (* SPMD: every thread runs the region directly; implicit barrier at end *)
       charge th c.Machine.call;
       th.level <- th.level + 1;
-      push_frame t th ~kind:Parallel_body_spmd (resolve_fn ()) [ argsv ];
+      enter Parallel_body_spmd;
       Done Undef
     end
     else begin
@@ -784,7 +917,7 @@ let device_runtime_call t team th name (args : Rvalue.t list) : rt_result =
       publish_work t team th ~fn:fname ~id:(as_int idv) ~args:argsv
         ~requested:(Int64.to_int (as_int numv));
       th.level <- th.level + 1;
-      push_frame t th ~kind:Parallel_body_generic (resolve_fn ()) [ argsv ];
+      enter Parallel_body_generic;
       Done Undef
     end)
   | "__kmpc_worker_wait", [] | "__kmpc_worker_wait_id", [] -> (
@@ -992,9 +1125,40 @@ let launch_hook :
     (t -> Func.t -> Rvalue.t list -> unit) ref =
   ref (fun _ _ _ -> error "launch hook not installed")
 
-(* Execute one instruction; the caller already advanced the frame cursor
-   past it. *)
-let exec_instr t (team_opt : team option) th (i : Instr.t) =
+(* A call to a device runtime function; [res] is the result register or -1. *)
+let runtime_call t team_opt th res name args =
+  match team_opt with
+  | Some team -> (
+    match device_runtime_call t team th name args with
+    | Done rv -> if res >= 0 then set_reg th res rv
+    | Blocked -> th.blocked_reg <- res)
+  | None ->
+    let rv = host_runtime_call t th name args in
+    if res >= 0 then set_reg th res rv
+
+(* A call to a module function: a kernel launch from the host, otherwise a
+   new frame. *)
+let call_plan t team_opt th res plan args =
+  let f = plan.func in
+  if Func.is_kernel f && team_opt = None then !launch_hook t f args
+  else if not (Func.is_declaration f) then begin
+    charge th (costs t).Machine.call;
+    push_frame th ~kind:Normal ~ret_reg:res plan (Array.of_list args)
+  end
+  else if Func.is_kernel f then error "kernel @%s launched from device code" f.Func.name
+  else error "call to external function @%s" f.Func.name
+
+let call_named t team_opt th res name args =
+  match Devrt.Registry.lookup name with
+  | Some _ -> runtime_call t team_opt th res name args
+  | None -> (
+    match plan_named t name with
+    | Some plan -> call_plan t team_opt th res plan args
+    | None -> error "call to unknown function @%s" name)
+
+(* Execute one instruction of [fr], the running frame; the caller already
+   advanced its pc past it. *)
+let exec_instr t (team_opt : team option) th fr (op : op) =
   let c = costs t in
   (match stats_top t with Some s -> s.instructions <- s.instructions + 1 | None -> ());
   t.fuel <- t.fuel - 1;
@@ -1005,49 +1169,47 @@ let exec_instr t (team_opt : team option) th (i : Instr.t) =
   if Fault.Injector.fire t.injector Fault.Injector.Sim_trap then
     sim_error Fault.Ompgpu_error.Sim_trap
       "injected trap in @%s (thread %d)"
-      (cur_frame th).ffunc.Func.name th.gid;
-  let ev v = eval t th v in
-  match i.Instr.kind with
-  | Instr.Alloca (ty, n) ->
+      fr.fplan.func.Func.name th.gid;
+  match op with
+  | Alloca (id, size) ->
     charge th c.Machine.alu;
-    let size = Support.Util.round_up_to (max 1 (Types.size_of ty * n)) ~multiple:8 in
     let addr = th.local_sp in
     if addr + size > t.machine.Machine.local_bytes_per_thread then
       error "thread %d local stack overflow" th.gid;
     th.local_sp <- th.local_sp + size;
-    set_reg th i.Instr.id (P { sp = Slocal th.gid; addr })
-  | Instr.Load (ty, pv) ->
-    let p = as_ptr (ev pv) in
+    fr.fregs.(id) <- P { sp = Slocal th.gid; addr }
+  | Load (id, ty, pv) ->
+    let p = as_ptr (eval t fr pv) in
     charge th (access_cost t p);
     count_load t p;
-    set_reg th i.Instr.id (Mem.read t.mem ~current:th.gid p ty)
-  | Instr.Store (ty, v, pv) ->
-    let p = as_ptr (ev pv) in
+    fr.fregs.(id) <- Mem.read t.mem ~current:th.gid p ty
+  | Store (ty, v, pv) ->
+    let p = as_ptr (eval t fr pv) in
     charge th (access_cost t p);
     count_store t p;
-    Mem.write t.mem ~current:th.gid p ty (ev v)
-  | Instr.Gep (_, base, off) ->
+    Mem.write t.mem ~current:th.gid p ty (eval t fr v)
+  | Gep (id, base, off) ->
     charge th c.Machine.alu;
-    let p = as_ptr (ev base) in
-    let o = Int64.to_int (as_int (ev off)) in
-    set_reg th i.Instr.id (P { p with addr = p.addr + o })
-  | Instr.Bin (op, ty, a, b) ->
+    let p = as_ptr (eval t fr base) in
+    let o = Int64.to_int (as_int (eval t fr off)) in
+    fr.fregs.(id) <- P { p with addr = p.addr + o }
+  | Bin (id, op, ty, a, b) ->
     charge th (bin_cost t op);
-    set_reg th i.Instr.id (exec_bin op ty (ev a) (ev b))
-  | Instr.Icmp (cc, ty, a, b) ->
+    fr.fregs.(id) <- exec_bin op ty (eval t fr a) (eval t fr b)
+  | Icmp (id, cc, ty, a, b) ->
     charge th c.Machine.alu;
-    set_reg th i.Instr.id (exec_icmp cc ty (ev a) (ev b))
-  | Instr.Fcmp (cc, _, a, b) ->
+    fr.fregs.(id) <- exec_icmp cc ty (eval t fr a) (eval t fr b)
+  | Fcmp (id, cc, a, b) ->
     charge th c.Machine.alu;
-    set_reg th i.Instr.id (exec_fcmp cc (ev a) (ev b))
-  | Instr.Cast (op, ty, v) ->
+    fr.fregs.(id) <- exec_fcmp cc (eval t fr a) (eval t fr b)
+  | Cast (id, op, ty, v) ->
     charge th c.Machine.cast;
-    set_reg th i.Instr.id (exec_cast op ty (ev v))
-  | Instr.Select (_, cv, a, b) ->
+    fr.fregs.(id) <- exec_cast op ty (eval t fr v)
+  | Select (id, cv, a, b) ->
     charge th c.Machine.alu;
-    set_reg th i.Instr.id (if as_int (ev cv) <> 0L then ev a else ev b)
-  | Instr.Atomicrmw (op, ty, pv, v) ->
-    let p = as_ptr (ev pv) in
+    fr.fregs.(id) <- (if as_int (eval t fr cv) <> 0L then eval t fr a else eval t fr b)
+  | Atomicrmw (id, op, ty, pv, v) ->
+    let p = as_ptr (eval t fr pv) in
     charge th
       (match p.sp with
       | Sglobal -> c.Machine.atomic_global
@@ -1057,124 +1219,91 @@ let exec_instr t (team_opt : team option) th (i : Instr.t) =
     let old = Mem.read t.mem ~current:th.gid p ty in
     let next =
       match op with
-      | Instr.A_add -> exec_bin Instr.Add ty old (ev v)
-      | Instr.A_fadd -> exec_bin Instr.Fadd ty old (ev v)
+      | Instr.A_add -> exec_bin Instr.Add ty old (eval t fr v)
+      | Instr.A_fadd -> exec_bin Instr.Fadd ty old (eval t fr v)
       | Instr.A_min ->
-        if Types.is_float ty then F (Float.min (as_float old) (as_float (ev v)))
-        else I (min (as_int old) (as_int (ev v)))
+        if Types.is_float ty then F (Float.min (as_float old) (as_float (eval t fr v)))
+        else I (min (as_int old) (as_int (eval t fr v)))
       | Instr.A_max ->
-        if Types.is_float ty then F (Float.max (as_float old) (as_float (ev v)))
-        else I (max (as_int old) (as_int (ev v)))
-      | Instr.A_exchange -> ev v
-      | Instr.A_cas -> ev v
+        if Types.is_float ty then F (Float.max (as_float old) (as_float (eval t fr v)))
+        else I (max (as_int old) (as_int (eval t fr v)))
+      | Instr.A_exchange -> eval t fr v
+      | Instr.A_cas -> eval t fr v
     in
     Mem.write t.mem ~current:th.gid p ty next;
-    set_reg th i.Instr.id old
-  | Instr.Call (_, callee, argvs) -> (
-    let args = List.map ev argvs in
-    let dispatch name =
-      match Devrt.Registry.lookup name with
-      | Some _ -> (
-        match team_opt with
-        | Some team -> (
-          match device_runtime_call t team th name args with
-          | Done rv -> if Instr.has_result i then set_reg th i.Instr.id rv
-          | Blocked ->
-            th.blocked_reg <- (if Instr.has_result i then Some i.Instr.id else None))
-        | None -> (
-          match host_runtime_call t th name args with
-          | rv -> if Instr.has_result i then set_reg th i.Instr.id rv))
-      | None -> (
-        match find_func t name with
-        | Some f when Func.is_kernel f && team_opt = None ->
-          !launch_hook t f args
-        | Some f when not (Func.is_declaration f) ->
-          charge th c.Machine.call;
-          push_frame t th
-            ?ret_reg:(if Instr.has_result i then Some i.Instr.id else None)
-            f args
-        | Some f when Func.is_kernel f ->
-          error "kernel @%s launched from device code" f.Func.name
-        | Some _ -> error "call to external function @%s" name
-        | None -> error "call to unknown function @%s" name)
-    in
+    fr.fregs.(id) <- old
+  | Call (res, callee, argvs) -> (
+    let args = eval_args t fr argvs in
     match callee with
-    | Instr.Direct name -> dispatch name
-    | Instr.Indirect fv -> (
+    | Runtime name -> runtime_call t team_opt th res name args
+    | Defined k -> call_plan t team_opt th res t.prog.plans.(k) args
+    | Unknown name -> error "call to unknown function @%s" name
+    | Indirect fv -> (
       charge th c.Machine.indirect_call;
       (match stats_top t with
       | Some s -> s.indirect_calls <- s.indirect_calls + 1
       | None -> ());
-      match ev fv with
-      | Fn name -> dispatch name
+      match eval t fr fv with
+      | Fn name -> call_named t team_opt th res name args
       | v -> error "indirect call through non-function value %s" (Fmt.str "%a" pp v)))
 
-(* Execute the terminator of the current block. *)
-let exec_term t th (b : Block.t) =
+let goto fr (target : target) =
+  if target.tblock < 0 then
+    Support.Util.failf "Func.find_block: no block %s in %s" target.tlabel
+      fr.fplan.func.Func.name;
+  fr.fblock <- fr.fplan.blocks.(target.tblock);
+  fr.fpc <- 0
+
+let rec switch_target x cases k default =
+  if k = Array.length cases then default
+  else
+    let v, target = cases.(k) in
+    if Int64.equal v x then target else switch_target x cases (k + 1) default
+
+(* Execute the terminator of [fr]'s block; [false] when the thread has
+   returned from its last frame. *)
+let exec_term t th fr =
   let c = costs t in
-  let goto label =
-    let frame = cur_frame th in
-    match Hashtbl.find_opt frame.fplan.pblocks label with
-    | Some be ->
-      frame.fblock <- be.bblock;
-      frame.fbid <- be.bid;
-      frame.fcursor <- be.bblock.Block.instrs
-    | None ->
-      Support.Util.failf "Func.find_block: no block %s in %s" label
-        frame.ffunc.Func.name
-  in
-  ignore c;
-  match b.Block.term with
-  | Block.Br l ->
+  match fr.fblock.term with
+  | Br target ->
     charge th c.Machine.alu;
-    goto l;
-    `Continue
-  | Block.Cbr (v, l1, l2) ->
+    goto fr target;
+    true
+  | Cbr (v, l1, l2) ->
     charge th c.Machine.alu;
-    let target = if as_int (eval t th v) <> 0L then l1 else l2 in
-    note_branch t th ~target;
-    goto target;
-    `Continue
-  | Block.Switch (v, cases, default) ->
+    let target = if as_int (eval t fr v) <> 0L then l1 else l2 in
+    note_branch t th fr target.tblock;
+    goto fr target;
+    true
+  | Switch (v, cases, default) ->
     charge th c.Machine.alu;
-    let x = as_int (eval t th v) in
-    let target =
-      match List.assoc_opt x cases with Some l -> l | None -> default
-    in
-    note_branch t th ~target;
-    goto target;
-    `Continue
-  | Block.Ret v ->
-    let rv = match v with Some v -> eval t th v | None -> Undef in
-    let team_opt = t.cur_team in
-    if pop_frame t team_opt th rv then `Continue else `Finished
-  | Block.Unreachable -> error "executed unreachable in @%s" (cur_frame th).ffunc.Func.name
+    let x = as_int (eval t fr v) in
+    let target = switch_target x cases 0 default in
+    note_branch t th fr target.tblock;
+    goto fr target;
+    true
+  | Ret v ->
+    let rv = match v with Some v -> eval t fr v | None -> Undef in
+    pop_frame t t.cur_team th rv
+  | Unreachable -> error "executed unreachable in @%s" fr.fplan.func.Func.name
 
 (* Run [th] until it blocks or finishes. *)
 let run_thread t (team_opt : team option) th =
   (* deliver the result of a call the thread was parked in *)
-  (match th.blocked_reg with
-  | Some reg when th.status = Runnable ->
-    set_reg th reg th.wake_value;
-    th.blocked_reg <- None
-  | _ -> ());
-  let continue_ = ref true in
-  while !continue_ && th.status = Runnable do
+  if th.blocked_reg >= 0 && th.status = Runnable then begin
+    set_reg th th.blocked_reg th.wake_value;
+    th.blocked_reg <- -1
+  end;
+  while th.status = Runnable do
     match th.stack with
-    | [] ->
-      th.status <- Finished;
-      continue_ := false
-    | frame :: _ -> (
-      match frame.fcursor with
-      | i :: rest ->
-        frame.fcursor <- rest;
-        exec_instr t team_opt th i
-      | [] -> (
-        match exec_term t th frame.fblock with
-        | `Continue -> ()
-        | `Finished ->
-          th.status <- Finished;
-          continue_ := false))
+    | [] -> th.status <- Finished
+    | fr :: _ ->
+      let pc = fr.fpc in
+      if pc < Array.length fr.fblock.code then begin
+        fr.fpc <- pc + 1;
+        exec_instr t team_opt th fr (Array.unsafe_get fr.fblock.code pc)
+      end
+      else if not (exec_term t th fr) then th.status <- Finished
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1323,6 +1452,7 @@ let launch_kernel t (kernel : Func.t) (args : Rvalue.t list) =
   t.cur_stats <- Some stats;
   (* track the heap high-water mark of this launch alone *)
   t.mem.Mem.heap_high_water <- t.mem.Mem.heap_in_use;
+  let plan = plan_of t kernel and args = Array.of_list args in
   let is_spmd = info.Func.exec_mode = Func.Spmd in
   let is_cuda = Func.has_attr kernel Func.Cuda_kernel in
   let max_team_shared = ref 0 in
@@ -1340,11 +1470,11 @@ let launch_kernel t (kernel : Func.t) (args : Rvalue.t list) =
             level = 0;
             last_work_gen = 0;
             wake_value = Undef;
-            blocked_reg = None;
+            blocked_reg = -1;
             wait_wants_id = false;
             barrier_site = "";
             heap_live = 0;
-            site_execs = Hashtbl.create 16;
+            site_execs = [||];
           })
     in
     let team =
@@ -1362,12 +1492,12 @@ let launch_kernel t (kernel : Func.t) (args : Rvalue.t list) =
         exec_spmd = is_spmd;
         is_cuda;
         uncoalesced = [];
-        branch_first = Hashtbl.create 64;
+        branch_first = [||];
         launch_teams = nteams;
         launch_threads = nthreads;
       }
     in
-    Array.iter (fun th -> push_frame t th kernel args) threads;
+    Array.iter (fun th -> push_frame th ~kind:Normal ~ret_reg:(-1) plan args) threads;
     run_team t team;
     let team_time = Array.fold_left (fun acc th -> max acc th.clock) 0 threads in
     stats.team_cycles_total <- stats.team_cycles_total + team_time;
@@ -1408,14 +1538,14 @@ let run_host ?(entry = "main") t =
       level = 0;
       last_work_gen = 0;
       wake_value = Undef;
-      blocked_reg = None;
+      blocked_reg = -1;
       wait_wants_id = false;
       barrier_site = "";
       heap_live = 0;
-      site_execs = Hashtbl.create 16;
+      site_execs = [||];
     }
   in
-  push_frame t host_thread f [];
+  push_frame host_thread ~kind:Normal ~ret_reg:(-1) (plan_of t f) [||];
   (* host executes outside any team; kernel launches install their own *)
   let continue_ = ref true in
   while !continue_ do

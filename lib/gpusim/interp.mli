@@ -5,7 +5,12 @@
     parallel-region joins) align the clocks of the released threads.  The
     host runs as a single thread whose direct calls to kernel functions are
     intercepted as launches.  Device runtime functions ([__kmpc_*],
-    [__gpu_*], math builtins, tracing) are interpreted natively here. *)
+    [__gpu_*], math builtins, tracing) are interpreted natively here.
+
+    {!create} decodes every function once into a private plan with every
+    name resolved (registers, globals, branch targets, callees); the
+    simulation runs that plan.  Decoding never fails: an unknown name
+    raises its error only when the instruction using it executes. *)
 
 (** Abnormal terminations raise [Fault.Ompgpu_error.Error] with phase
     [Simulating]: [Sim_trap] for (injected) traps, [Timeout] for fuel
@@ -54,13 +59,11 @@ type t = {
   mutable fuel : int;
   injector : Fault.Injector.t;
   mutable cur_team : team option;
-  funcs : (string, Ir.Func.t) Hashtbl.t;  (** name -> function, built once *)
-  plans : (string, fplan) Hashtbl.t;  (** per-function execution plans *)
-  mutable bid_gen : int;
+  prog : program;  (** the module's decoded plans *)
 }
 
 and team
-and fplan
+and program
 
 (** Pure operational helpers, exposed for cross-checking against the
     optimizer's constant folding. *)

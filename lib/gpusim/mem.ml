@@ -15,12 +15,24 @@
    which re-zeroes only those bytes on reuse; bytes beyond a mark were
    never written and are still zero.  The batch path thus skips nearly all
    of the tens of MBs a fresh [Bytes.make] must fill per job, with results
-   byte-identical to the allocate-per-job path. *)
+   byte-identical to the allocate-per-job path.
+
+   An access costs no table lookup and allocates nothing: the offset into
+   an arena is always the pointer's [addr], and the running team's and
+   thread's arenas sit in one-entry caches in front of their tables. *)
 
 open Rvalue
 
 (* A shared/local arena plus the high end of its written span. *)
 type arena = { ab : Bytes.t; mutable ahigh : int }
+
+(* The shared or the local arenas by owner, and the last one resolved
+   ([no_owner] when none; a release clears it). *)
+type arenas = {
+  table : (int, arena) Hashtbl.t;
+  mutable last_owner : int;
+  mutable last : arena;
+}
 
 type t = {
   machine : Machine.t;
@@ -28,8 +40,8 @@ type t = {
   (* arena recycler of the owning pool worker; None = allocate-per-job *)
   scratch : Scratch.t option;
   global : Bytes.t;
-  shareds : (int, arena) Hashtbl.t;
-  locals : (int, arena) Hashtbl.t;
+  shareds : arenas;  (* by team *)
+  locals : arenas;  (* by thread *)
   globals_layout : (string, int) Hashtbl.t;  (* global-space globals *)
   shared_layout : (string, int) Hashtbl.t;  (* shared-space globals, per-team offsets *)
   mutable globals_size : int;
@@ -50,6 +62,10 @@ type t = {
 
 exception Out_of_memory of string
 
+let no_owner = min_int
+let no_arena = { ab = Bytes.empty; ahigh = 0 }
+let arenas n = { table = Hashtbl.create n; last_owner = no_owner; last = no_arena }
+
 let create ?(injector = Fault.Injector.none) ?scratch (machine : Machine.t) =
   let heap_base = machine.Machine.global_bytes - machine.Machine.heap_bytes in
   {
@@ -60,8 +76,8 @@ let create ?(injector = Fault.Injector.none) ?scratch (machine : Machine.t) =
       (match scratch with
       | Some s -> Scratch.take_global s machine.Machine.global_bytes
       | None -> Bytes.make machine.Machine.global_bytes '\000');
-    shareds = Hashtbl.create 16;
-    locals = Hashtbl.create 64;
+    shareds = arenas 16;
+    locals = arenas 64;
     globals_layout = Hashtbl.create 16;
     shared_layout = Hashtbl.create 16;
     globals_size = 0;
@@ -103,58 +119,61 @@ let layout_module t (m : Ir.Irmod.t) =
   if t.globals_size > t.heap_base then
     raise (Out_of_memory "module globals exceed global memory")
 
-let global_addr t name ~team =
-  match Hashtbl.find_opt t.globals_layout name with
-  | Some addr -> { sp = Sglobal; addr }
-  | None -> (
-    match Hashtbl.find_opt t.shared_layout name with
-    | Some addr -> { sp = Sshared team; addr }
-    | None -> error "unknown global @%s" name)
+(* The owner's arena, made with [fresh] on first use; only a miss of the
+   one-entry cache reaches the table. *)
+let lookup arenas owner fresh =
+  let a =
+    match Hashtbl.find_opt arenas.table owner with
+    | Some a -> a
+    | None ->
+      let a = { ab = fresh (); ahigh = 0 } in
+      Hashtbl.replace arenas.table owner a;
+      a
+  in
+  arenas.last_owner <- owner;
+  arenas.last <- a;
+  a
 
 let shared_of t team =
-  match Hashtbl.find_opt t.shareds team with
-  | Some a -> a
-  | None ->
-    let size = t.machine.Machine.shared_bytes_per_team in
-    let b =
-      match t.scratch with
-      | Some s -> Scratch.take_shared s size
-      | None -> Bytes.make size '\000'
-    in
-    let a = { ab = b; ahigh = 0 } in
-    Hashtbl.replace t.shareds team a;
-    a
+  if team = t.shareds.last_owner then t.shareds.last
+  else
+    lookup t.shareds team (fun () ->
+        let size = t.machine.Machine.shared_bytes_per_team in
+        match t.scratch with
+        | Some s -> Scratch.take_shared s size
+        | None -> Bytes.make size '\000')
 
 let local_of t thread =
-  match Hashtbl.find_opt t.locals thread with
-  | Some a -> a
-  | None ->
-    let size = t.machine.Machine.local_bytes_per_thread in
-    let b =
-      match t.scratch with
-      | Some s -> Scratch.take_local s size
-      | None -> Bytes.make size '\000'
-    in
-    let a = { ab = b; ahigh = 0 } in
-    Hashtbl.replace t.locals thread a;
-    a
+  if thread = t.locals.last_owner then t.locals.last
+  else
+    lookup t.locals thread (fun () ->
+        let size = t.machine.Machine.local_bytes_per_thread in
+        match t.scratch with
+        | Some s -> Scratch.take_local s size
+        | None -> Bytes.make size '\000')
+
+let forget arenas =
+  arenas.last_owner <- no_owner;
+  arenas.last <- no_arena
 
 (* Drop a team's / thread's arena; with a scratch attached the bytes go
    back to the pool (with their dirty extent) for the next launch instead
    of to the GC. *)
-let release_shared t team =
-  match Hashtbl.find_opt t.shareds team with
+let drop arenas owner give =
+  match Hashtbl.find_opt arenas.table owner with
   | None -> ()
   | Some a ->
-    Hashtbl.remove t.shareds team;
-    Option.iter (fun s -> Scratch.give_shared s a.ab ~dirty:a.ahigh) t.scratch
+    Hashtbl.remove arenas.table owner;
+    if owner = arenas.last_owner then forget arenas;
+    give a
+
+let release_shared t team =
+  drop t.shareds team (fun a ->
+      Option.iter (fun s -> Scratch.give_shared s a.ab ~dirty:a.ahigh) t.scratch)
 
 let release_local t thread =
-  match Hashtbl.find_opt t.locals thread with
-  | None -> ()
-  | Some a ->
-    Hashtbl.remove t.locals thread;
-    Option.iter (fun s -> Scratch.give_local s a.ab ~dirty:a.ahigh) t.scratch
+  drop t.locals thread (fun a ->
+      Option.iter (fun s -> Scratch.give_local s a.ab ~dirty:a.ahigh) t.scratch)
 
 (* Hand every arena (including the global one) back to the scratch; the
    memory must not be used afterwards. *)
@@ -165,23 +184,26 @@ let release t =
     Scratch.give_global s t.global
       ~ranges:
         [ (0, min t.gdirty_low t.heap_base); (t.heap_base, t.gdirty_heap - t.heap_base) ];
-    Hashtbl.iter (fun _ a -> Scratch.give_shared s a.ab ~dirty:a.ahigh) t.shareds;
-    Hashtbl.iter (fun _ a -> Scratch.give_local s a.ab ~dirty:a.ahigh) t.locals;
-    Hashtbl.reset t.shareds;
-    Hashtbl.reset t.locals
+    Hashtbl.iter (fun _ a -> Scratch.give_shared s a.ab ~dirty:a.ahigh) t.shareds.table;
+    Hashtbl.iter (fun _ a -> Scratch.give_local s a.ab ~dirty:a.ahigh) t.locals.table;
+    Hashtbl.reset t.shareds.table;
+    Hashtbl.reset t.locals.table;
+    forget t.shareds;
+    forget t.locals
 
-(* Resolve a pointer to (backing bytes, offset) for the accessing thread. *)
+(* The bytes backing a pointer for the accessing thread; the offset into
+   them is the pointer's [addr]. *)
 let resolve t ~current (p : ptr) =
   match p.sp with
-  | Sglobal -> (t.global, p.addr)
-  | Sshared team -> ((shared_of t team).ab, p.addr)
+  | Sglobal -> t.global
+  | Sshared team -> (shared_of t team).ab
   | Slocal owner ->
     if owner <> current then begin
       t.cross_local_accesses <- t.cross_local_accesses + 1;
       (* local memory is thread-addressed: we read our own frame *)
-      ((local_of t current).ab, p.addr)
+      (local_of t current).ab
     end
-    else ((local_of t owner).ab, p.addr)
+    else (local_of t owner).ab
 
 (* Like [resolve], but records the written span's high end. *)
 let resolve_store t ~current (p : ptr) size =
@@ -192,11 +214,11 @@ let resolve_store t ~current (p : ptr) size =
       if hi > t.gdirty_low then t.gdirty_low <- hi
     end
     else if hi > t.gdirty_heap then t.gdirty_heap <- hi;
-    (t.global, p.addr)
+    t.global
   | Sshared team ->
     let a = shared_of t team in
     if p.addr + size > a.ahigh then a.ahigh <- p.addr + size;
-    (a.ab, p.addr)
+    a.ab
   | Slocal owner ->
     let owner =
       if owner <> current then begin
@@ -207,7 +229,7 @@ let resolve_store t ~current (p : ptr) size =
     in
     let a = local_of t owner in
     if p.addr + size > a.ahigh then a.ahigh <- p.addr + size;
-    (a.ab, p.addr)
+    a.ab
 
 (* ------------------------------------------------------------------ *)
 (* Typed access                                                        *)
@@ -239,7 +261,7 @@ let check_bounds bytes off size what =
       (Bytes.length bytes)
 
 let read t ~current (p : ptr) (ty : Ir.Types.t) : Rvalue.t =
-  let bytes, off = resolve t ~current p in
+  let bytes = resolve t ~current p and off = p.addr in
   let size = Ir.Types.size_of ty in
   check_bounds bytes off size "load";
   match ty with
@@ -255,7 +277,7 @@ let read t ~current (p : ptr) (ty : Ir.Types.t) : Rvalue.t =
 
 let write t ~current (p : ptr) (ty : Ir.Types.t) (v : Rvalue.t) =
   let size = Ir.Types.size_of ty in
-  let bytes, off = resolve_store t ~current p size in
+  let bytes = resolve_store t ~current p size and off = p.addr in
   check_bounds bytes off size "store";
   match ty with
   | Ir.Types.I1 | Ir.Types.I8 ->
@@ -315,4 +337,8 @@ let heap_free_block t addr size =
   t.heap_free <- (addr, size) :: t.heap_free;
   t.heap_in_use <- max 0 (t.heap_in_use - size)
 
-let is_cached t addr = List.exists (fun (a, b) -> addr >= a && addr < b) t.cached_ranges
+let rec in_ranges addr = function
+  | [] -> false
+  | (a, b) :: rest -> (addr >= a && addr < b) || in_ranges addr rest
+
+let is_cached t addr = in_ranges addr t.cached_ranges

@@ -11,13 +11,21 @@ type arena = { ab : Bytes.t; mutable ahigh : int }
 (** A shared/local arena plus the high end of its written span (the dirty
     extent handed back to the scratch on release). *)
 
+type arenas = {
+  table : (int, arena) Hashtbl.t;
+  mutable last_owner : int;
+  mutable last : arena;
+}
+(** Arenas by owner, behind a one-entry cache of the last one resolved (so
+    the running team's or thread's access does no table lookup). *)
+
 type t = {
   machine : Machine.t;
   injector : Fault.Injector.t;
   scratch : Scratch.t option;
   global : Bytes.t;
-  shareds : (int, arena) Hashtbl.t;
-  locals : (int, arena) Hashtbl.t;
+  shareds : arenas;  (** by team *)
+  locals : arenas;  (** by thread *)
   globals_layout : (string, int) Hashtbl.t;
   shared_layout : (string, int) Hashtbl.t;
   mutable globals_size : int;
@@ -59,8 +67,11 @@ val layout_module : t -> Ir.Irmod.t -> unit
 (** Place module globals: global-space globals in one arena, shared-space
     globals (HeapToShared results) at per-team offsets. *)
 
-val global_addr : t -> string -> team:int -> Rvalue.ptr
 val is_cached : t -> int -> bool
+
+val in_ranges : int -> (int * int) list -> bool
+(** [in_ranges addr ranges]: [addr] lies in one of the half-open
+    [(start, end_)] ranges. *)
 
 val read : t -> current:int -> Rvalue.ptr -> Ir.Types.t -> Rvalue.t
 val write : t -> current:int -> Rvalue.ptr -> Ir.Types.t -> Rvalue.t -> unit

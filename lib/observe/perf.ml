@@ -2,8 +2,9 @@
    stack frame, foldable into flamegraph input.
 
    A sample is one timed region tagged with a stack of labels — e.g.
-   ["xsbench/dev"; "simulate"] — plus the wall seconds and the minor-heap
-   words the region allocated on the recording domain.  Samples aggregate
+   ["xsbench/dev"; "simulate"] — plus its elapsed seconds on the monotonic
+   clock (bechamel's, as the pass trace uses) and the minor-heap words the
+   region allocated on the recording domain.  Samples aggregate
    by stack into the classic folded-stacks text format (one
    "frame;frame;frame COUNT" line per stack), which flamegraph.pl,
    speedscope and inferno all consume directly; counts are microseconds
@@ -25,18 +26,20 @@ let add t sample =
   t.samples <- sample :: t.samples;
   Mutex.unlock t.mutex
 
+let seconds_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
+
 let record t ~stack f =
   let w0 = (Gc.quick_stat ()).Gc.minor_words in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   match f () with
   | r ->
-    let seconds = Unix.gettimeofday () -. t0 in
+    let seconds = seconds_since t0 in
     let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
     add t { stack; seconds; words };
     r
   | exception e ->
     (* failed phases still cost time; attribute it before re-raising *)
-    let seconds = Unix.gettimeofday () -. t0 in
+    let seconds = seconds_since t0 in
     let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
     add t { stack; seconds; words };
     raise e

@@ -9,8 +9,9 @@ type t
 val create : unit -> t
 
 val record : t -> stack:string list -> (unit -> 'a) -> 'a
-(** Run the thunk, append one sample tagged [stack] with its wall seconds
-    and the minor-heap words it allocated on this domain.  A raising
+(** Run the thunk, append one sample tagged [stack] with its elapsed
+    seconds on the monotonic clock and the minor-heap words it allocated
+    on this domain.  A raising
     thunk is still attributed before the exception propagates. *)
 
 val folded : value:[ `Time_us | `Alloc_words ] -> t -> string

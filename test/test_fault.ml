@@ -141,6 +141,27 @@ let test_fingerprint () =
   Alcotest.(check string) "order-independent" (Inj.fingerprint a) (Inj.fingerprint b);
   Alcotest.(check bool) "non-empty" true (Inj.fingerprint a <> "")
 
+(* [fire] runs once per simulated instruction ([Sim_trap]) and on every
+   accept, frame and reply in the daemon, so a query of a site that is not
+   armed must not allocate. *)
+let test_fire_allocates_nothing () =
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let queries inj () =
+    for _ = 1 to 10_000 do
+      ignore (Inj.fire inj Inj.Sim_trap)
+    done
+  in
+  let baseline = minor_words (fun () -> ()) in
+  let other = Inj.create [ { Inj.site = Inj.Mem_alloc; rate = 1.0; seed = 0 } ] in
+  Alcotest.(check (float 0.)) "10k queries of none" baseline
+    (minor_words (queries Inj.none));
+  Alcotest.(check (float 0.)) "10k queries of an injector armed elsewhere" baseline
+    (minor_words (queries other))
+
 (* ------------------------------------------------------------------ *)
 (* The fault matrix: site x supervision mode, through the runner       *)
 (* ------------------------------------------------------------------ *)
@@ -463,6 +484,7 @@ let suite =
     Alcotest.test_case "injector replay" `Quick test_injector_replay;
     Alcotest.test_case "per-tag derivation" `Quick test_derive;
     Alcotest.test_case "fingerprint" `Quick test_fingerprint;
+    Alcotest.test_case "fire allocates nothing" `Quick test_fire_allocates_nothing;
     Alcotest.test_case "fail-fast matrix" `Quick test_fail_fast_kinds;
     Alcotest.test_case "injection joins cache key" `Quick test_injection_joins_cache_key;
     Alcotest.test_case "bounded retry recovers" `Quick test_retry_recovers;

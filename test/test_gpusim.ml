@@ -379,6 +379,40 @@ let qcheck_encode =
         (fun p -> Gpusim.Mem.decode_ptr (Gpusim.Mem.encode_ptr p) = p)
         [ { sp = Sglobal; addr }; { sp = Sshared owner; addr }; { sp = Slocal owner; addr } ])
 
+(* Allocation budget of the simulator.  Minor words allocated by [run_host]
+   per simulated kernel instruction are deterministic for a build, so they
+   gate what wall time cannot: a per-instruction closure, a lookup tuple or
+   a name resolution coming back into the hot loop shows up here. *)
+let test_alloc_budget () =
+  let words = ref 0. and instrs = ref 0 in
+  List.iter
+    (fun (app : Proxyapps.App.t) ->
+      let m =
+        Frontend.Codegen.compile ~scheme:Frontend.Codegen.Simplified
+          ~file:(app.Proxyapps.App.name ^ ".c")
+          (app.Proxyapps.App.omp_source Proxyapps.App.Tiny)
+      in
+      ignore (Openmpopt.Pass_manager.run_pipeline ~pipeline:Openmpopt.Pass_manager.Pipeline.full m);
+      let sim = Gpusim.Interp.create Gpusim.Machine.bench_machine m in
+      let before = Gc.minor_words () in
+      Gpusim.Interp.run_host sim;
+      let w = Gc.minor_words () -. before in
+      let n =
+        List.fold_left
+          (fun acc (s : Gpusim.Interp.launch_stats) -> acc + s.Gpusim.Interp.instructions)
+          0 sim.Gpusim.Interp.kernel_stats
+      in
+      Printf.printf "%s: %.0f words / %d instructions = %.2f\n" app.Proxyapps.App.name w n
+        (w /. float_of_int n);
+      words := !words +. w;
+      instrs := !instrs + n)
+    Proxyapps.Apps.all;
+  let per_instr = !words /. float_of_int !instrs in
+  Printf.printf "all four: %.2f words per instruction\n" per_instr;
+  if per_instr > 8.0 then
+    Alcotest.failf "simulator allocates %.2f minor words per instruction (budget 8.0)"
+      per_instr
+
 let suite =
   [
     Alcotest.test_case "launch dimensions" `Quick test_launch_dimensions;
@@ -396,6 +430,7 @@ let suite =
     Alcotest.test_case "register estimate monotone" `Quick test_register_estimate_monotone;
     Alcotest.test_case "fuel guard" `Quick test_fuel_guards_infinite_loops;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "allocation budget" `Quick test_alloc_budget;
     Alcotest.test_case "pointer encode/decode" `Quick test_mem_encode_decode;
     Alcotest.test_case "typed memory" `Quick test_typed_memory_roundtrip;
     Alcotest.test_case "f32 rounding" `Quick test_f32_rounding;

@@ -6,6 +6,7 @@ let () =
       ("analysis", Test_analysis.suite);
       ("frontend", Test_frontend.suite);
       ("gpusim", Test_gpusim.suite);
+      ("gpusim-ledger", Test_gpusim_ledger.suite);
       ("interp-ops", Test_interp_ops.suite);
       ("openmpopt", Test_openmpopt.suite);
       ("passes-ir", Test_passes_ir.suite);

@@ -16,8 +16,9 @@
                            flamegraph.pl or paste into speedscope.app
      OUTDIR/alloc.folded   folded stacks, counts = minor-heap words
 
-   Wall-clock numbers measure this host; the batch's byte-identity with
-   the sequential reference is asserted on every run. *)
+   Times are elapsed seconds on the monotonic clock and measure the host
+   that ran them; the batch's byte-identity with the sequential reference
+   is asserted on every run. *)
 
 let machine = Gpusim.Machine.bench_machine
 
@@ -48,9 +49,9 @@ let jobs =
     Proxyapps.Apps.all
 
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9)
 
 let min2 f =
   let r, a = timed f in
