@@ -80,16 +80,17 @@ conformance:
 	  --daemon --tiered --observe BENCH_observe.json
 
 # The CI-sized corpus: the committed ledger's exact run (48 programs,
-# seed 42) diffed against test/corpus_ledger.expected, plus daemon
-# replay.  Any drift is a one-line ledger diff.  Then the same corpus
-# replayed with `--pipeline fast` standing in for the optimized column —
-# the divergence licenses are scheme/mode/program-keyed, so every
-# fast-vs-full delta must still classify (api_version 2's pipeline API
-# cannot introduce unexplained divergences).
+# seed 42) diffed against test/corpus_ledger.expected, then replayed
+# through a daemon and through a 2-shard fleet, each byte-identical to
+# in-process compilation.  Any drift is a one-line ledger diff.  Then the
+# same corpus replayed with `--pipeline fast` standing in for the
+# optimized column — the divergence licenses are scheme/mode/program-keyed,
+# so every fast-vs-full delta must still classify (api_version 2's
+# pipeline API cannot introduce unexplained divergences).
 conformance-smoke:
 	dune build tools/conformance.exe
 	dune exec tools/conformance.exe -- --n 48 --seed 42 \
-	  --expected test/corpus_ledger.expected --daemon
+	  --expected test/corpus_ledger.expected --daemon --router
 	dune exec tools/conformance.exe -- --n 48 --seed 42 --pipeline fast
 
 # Benchmark-regression gate: regenerate BENCH_observe.json into a scratch

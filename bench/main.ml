@@ -208,14 +208,6 @@ let sched_bench () =
    one-shot compile of the same source.  Latencies measure this host; the
    byte-identity and cache-hit facts are machine-independent. *)
 let service_bench () =
-  let socket_path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mompd-bench-%d.sock" (Unix.getpid ()))
-  in
-  let server =
-    Service.Server.create { Service.Server.default_config with socket_path }
-  in
-  let server_thread = Thread.create Service.Server.serve_forever server in
   let config = Ompgpu_api.Config.(default |> with_pipeline Ompgpu_api.Pipeline.full |> with_sim) in
   let file = "xsbench.momp" in
   let source =
@@ -235,20 +227,16 @@ let service_bench () =
     timed (fun () -> Ompgpu_api.compile_buffered ~config ~file source)
   in
   let (cold, cold_s), (warm, warm_avg_s) =
-    Service.Client.with_connection ~socket_path (fun c ->
-        let cold = timed (request c) in
-        let reps = 20 in
-        let warms, warm_total = timed (fun () -> List.init reps (fun _ -> request c ())) in
-        let () =
-          match Service.Client.shutdown c () with
-          | Ok () -> ()
-          | Error e ->
-            Fmt.failwith "service bench: shutdown: %s"
-              (Fault.Ompgpu_error.to_string e)
-        in
-        (cold, (List.hd warms, warm_total /. float_of_int reps)))
+    Replay.with_daemon ~domains:Service.Server.default_config.domains
+      (fun socket_path ->
+        Service.Client.with_connection ~socket_path (fun c ->
+            let cold = timed (request c) in
+            let reps = 20 in
+            let warms, warm_total =
+              timed (fun () -> List.init reps (fun _ -> request c ()))
+            in
+            (cold, (List.hd warms, warm_total /. float_of_int reps))))
   in
-  Thread.join server_thread;
   let identical r =
     r.Ompgpu_api.exit_code = oneshot.Ompgpu_api.exit_code
     && String.equal r.Ompgpu_api.output oneshot.Ompgpu_api.output
@@ -274,7 +262,7 @@ let service_bench () =
 (* Corpus benchmark: conformance corpus as daemon traffic              *)
 (* ------------------------------------------------------------------ *)
 
-(* The conformance corpus (lib/corpus, docs/CONFORMANCE.md) replayed
+(* The conformance corpus (tools/replay.ml, docs/CONFORMANCE.md) replayed
    through a live mompd over resilient client sessions: compiles/sec is
    the serving throughput of the daemon on generated kernels, cold
    against empty caches and warm against the in-memory result cache.
@@ -282,30 +270,72 @@ let service_bench () =
    compilation and the zero-transport-error bar are machine-independent.
    `make conformance` runs the same traffic at full corpus size. *)
 let corpus_bench () =
-  let s = Corpus.Traffic.run ~connections:4 ~domains:2 ~root:42L ~n:24 () in
-  Fmt.pr "== Corpus: conformance corpus as daemon traffic ==@.";
-  Fmt.pr "  %d programs x %d cells = %d jobs over %d connections (%d domains)@."
-    s.Corpus.Traffic.programs
-    (List.length Corpus.Matrix.cells)
-    s.Corpus.Traffic.jobs s.Corpus.Traffic.connections s.Corpus.Traffic.domains;
-  Fmt.pr "  cold  %8.1f compiles/s  (%.2fs)@." s.Corpus.Traffic.cold_cps
-    s.Corpus.Traffic.cold_s;
-  Fmt.pr "  warm  %8.1f compiles/s  (%.2fs)@." s.Corpus.Traffic.warm_cps
-    s.Corpus.Traffic.warm_s;
-  Fmt.pr "  byte-identical to in-process: %b   transport errors: %d@.@."
-    s.Corpus.Traffic.byte_identical s.Corpus.Traffic.transport_errors;
-  Corpus.Traffic.to_json s
+  let s = Replay.daemon ~connections:4 ~domains:2 ~root:42L ~n:24 in
+  Fmt.pr "== Corpus: conformance corpus as daemon traffic ==@.  %s@.@."
+    (Replay.summary s);
+  s
 
 (* ------------------------------------------------------------------ *)
 (* Fleet benchmark: the corpus through the sharded router              *)
 (* ------------------------------------------------------------------ *)
 
+(* Warm a 3-shard fleet with one cold pass, so the measured pass isolates
+   failover cost from first-compile cost (every key is warm in memory on
+   its shard, on the shared disk tier for the others), then stop one
+   shard once a quarter of the measured pass is taken: whatever this
+   host's throughput, the other three quarters exercise strike and
+   failover.  The router must absorb the kill without a client-visible
+   failure; the latency percentiles price that. *)
+let failover_bench () =
+  let connections = 4 and shards = 3 in
+  let jobs = Replay.jobs ~root:42L ~n:8 () in
+  let expected = Replay.expected jobs in
+  Replay.with_fleet ~shards ~domains:2 (fun ~socket_path ~backends ->
+      ignore (Replay.pass ~connections ~socket_path jobs);
+      let victim = List.hd backends in
+      let taken = Atomic.make 0 in
+      let killer =
+        Thread.create
+          (fun () ->
+            while Atomic.get taken < max 1 (Array.length jobs / 4) do
+              Thread.delay 0.001
+            done;
+            victim.Service.Router.stop ())
+          ()
+      in
+      let p = Replay.pass ~taken ~connections ~socket_path jobs in
+      Thread.join killer;
+      (* up to 5 s for the monitor to respawn the victim, so the counters
+         show the kill was real *)
+      let rec settle tries =
+        let doc = Replay.fleet_doc socket_path in
+        if Replay.shard_sum [ "respawns" ] doc >= 1 || tries = 0 then doc
+        else begin
+          Thread.delay 0.05;
+          settle (tries - 1)
+        end
+      in
+      let doc = settle 100 in
+      let t = Replay.tally ~expected p in
+      Observe.Json.Obj
+        [
+          ("shards", Observe.Json.Int shards);
+          ("jobs", Observe.Json.Int (Array.length jobs));
+          ("killed", Observe.Json.String victim.Service.Router.name);
+          ("p50_ms", Observe.Json.Float (Replay.percentile_ms p 50.0));
+          ("p99_ms", Observe.Json.Float (Replay.percentile_ms p 99.0));
+          ("max_ms", Observe.Json.Float (Replay.percentile_ms p 100.0));
+          ("byte_identical", Observe.Json.Bool (Replay.identical jobs [ t ]));
+          ("failovers", Observe.Json.Int (Replay.int_at [ "router"; "failovers" ] doc));
+          ("fallbacks", Observe.Json.Int (Replay.int_at [ "router"; "fallbacks" ] doc));
+          ("respawns", Observe.Json.Int (Replay.shard_sum [ "respawns" ] doc));
+        ])
+
 (* How serving scales with shard count, and what a shard dying costs.
    The same corpus traffic as corpus_bench, but through a Router fronting
    N supervised in-process shards: requests/sec cold and warm at N=1,2,4
    (the warm-hit ratio says whether the consistent-hash ring kept each
-   key on its warm shard), then the failover run — one shard stopped
-   mid-pass — whose p99 prices the router's absorption of the kill.
+   key on its warm shard), then the failover run above.
    Throughput and latency measure this host; byte-identity of every
    fleet answer with in-process compilation is machine-independent and
    is the member tools/bench_gate.ml refuses to pass without. *)
@@ -314,45 +344,20 @@ let fleet_bench () =
   let scaling =
     List.map
       (fun shards ->
-        let f =
-          Corpus.Traffic.run_fleet ~connections:4 ~shards ~domains:2 ~root:42L
-            ~n:12 ()
-        in
-        let s = f.Corpus.Traffic.base in
-        Fmt.pr
-          "  shards=%d  cold %8.1f compiles/s  warm %8.1f compiles/s  \
-           warm-hit %.2f  failovers %d  fallbacks %d  byte-identical %b@."
-          shards s.Corpus.Traffic.cold_cps s.Corpus.Traffic.warm_cps
-          f.Corpus.Traffic.warm_hit_ratio f.Corpus.Traffic.failovers
-          f.Corpus.Traffic.fallbacks s.Corpus.Traffic.byte_identical;
+        let f = Replay.fleet ~connections:4 ~shards ~domains:2 ~root:42L ~n:12 in
+        Fmt.pr "  %s@." (Replay.summary f);
         f)
       [ 1; 2; 4 ]
   in
-  let fo = Corpus.Traffic.run_failover ~connections:4 ~shards:3 ~domains:2
-      ~root:42L ~n:8 ()
-  in
-  Fmt.pr
-    "  failover: killed %s mid-pass (3 shards, %d jobs): p50 %.1fms  p99 \
-     %.1fms  max %.1fms  %d failover(s), %d fallback(s), %d respawn(s), \
-     byte-identical %b@.@."
-    fo.Corpus.Traffic.killed fo.Corpus.Traffic.fo_jobs
-    fo.Corpus.Traffic.p50_ms fo.Corpus.Traffic.p99_ms fo.Corpus.Traffic.max_ms
-    fo.Corpus.Traffic.fo_failovers fo.Corpus.Traffic.fo_fallbacks
-    fo.Corpus.Traffic.respawns fo.Corpus.Traffic.fo_byte_identical;
-  let byte_identical =
-    fo.Corpus.Traffic.fo_byte_identical
-    && List.for_all
-         (fun (f : Corpus.Traffic.fleet_stats) ->
-           f.Corpus.Traffic.base.Corpus.Traffic.byte_identical)
-         scaling
-  in
+  let failover = failover_bench () in
+  Fmt.pr "  failover: %s@.@." (Replay.summary failover);
   Observe.Json.with_schema
     (Observe.Json.Obj
        [
-         ( "scaling",
-           Observe.Json.List (List.map Corpus.Traffic.fleet_to_json scaling) );
-         ("failover", Corpus.Traffic.failover_to_json fo);
-         ("byte_identical", Observe.Json.Bool byte_identical);
+         ("scaling", Observe.Json.List scaling);
+         ("failover", failover);
+         ( "byte_identical",
+           Observe.Json.Bool (List.for_all Replay.byte_identical (failover :: scaling)) );
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -368,22 +373,10 @@ let fleet_bench () =
    measure this host; byte-identity is machine-independent and is the
    member tools/bench_gate.ml refuses to pass without. *)
 let tiers_bench () =
-  let t = Corpus.Traffic.run_tiered ~connections:4 ~domains:2 ~root:42L ~n:12 () in
-  Fmt.pr "== Tiers: cold latency per tier, background upgrade throughput ==@.";
-  Fmt.pr "  %d tier-eligible jobs over %d connections (%d domains)@."
-    t.Corpus.Traffic.tr_jobs t.Corpus.Traffic.tr_connections
-    t.Corpus.Traffic.tr_domains;
-  Fmt.pr "  cold p50   full %8.1f ms   tiered %8.1f ms@."
-    t.Corpus.Traffic.full_cold_p50_ms t.Corpus.Traffic.tiered_cold_p50_ms;
-  Fmt.pr "  warm       full %8.1f c/s  tiered %8.1f c/s@."
-    t.Corpus.Traffic.full_warm_cps t.Corpus.Traffic.tiered_warm_cps;
-  Fmt.pr "  upgrades   %d drained in %.2fs (%.1f/s)@."
-    t.Corpus.Traffic.upgrades_done t.Corpus.Traffic.upgrade_drain_s
-    t.Corpus.Traffic.upgrades_per_s;
-  Fmt.pr "  post-upgrade byte-identical to one-shot full: %b   transport \
-          errors: %d@.@."
-    t.Corpus.Traffic.post_upgrade_identical t.Corpus.Traffic.tr_transport_errors;
-  Corpus.Traffic.tiers_to_json t
+  let t = Replay.tiers ~connections:4 ~domains:2 ~root:42L ~n:12 in
+  Fmt.pr "== Tiers: cold latency per tier, background upgrade throughput ==@.  %s@.@."
+    (Replay.summary t);
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Storage benchmark: governed caches under pressure                   *)
@@ -398,6 +391,8 @@ let tiers_bench () =
    everything.  [byte_identical] is the member tools/bench_gate.ml
    refuses to pass without. *)
 let storage_bench () =
+  Replay.with_temp_dir "bench-dfull" @@ fun dfull_dir ->
+  Replay.with_temp_dir "bench-quota" @@ fun quota_dir ->
   Fmt.pr "== Storage: bounded caches and ENOSPC-graceful writes ==@.";
   let apps = List.map (fun (a : Proxyapps.App.t) -> a.Proxyapps.App.name) Proxyapps.Apps.all in
   let config = Ompgpu_api.Config.default in
@@ -444,8 +439,6 @@ let storage_bench () =
   let warm_hit_rate = Sched.Cache.hit_rate ample in
   (* every store fails as disk-full: no store may raise, the breaker must
      trip, and lookups stay plain misses *)
-  let dfull_dir = Filename.temp_file "bench-dfull" "" in
-  Sys.remove dfull_dir;
   let injector =
     Fault.Injector.create
       [ { Fault.Injector.site = Fault.Injector.Disk_full; rate = 1.0; seed = 0 } ]
@@ -465,8 +458,6 @@ let storage_bench () =
           max m (String.length r.Ompgpu_api.output + 64))
         0 reference
   in
-  let quota_dir = Filename.temp_file "bench-quota" "" in
-  Sys.remove quota_dir;
   let quotad = Sched.Disk_cache.create ~max_bytes:quota ~dir:quota_dir () in
   List.iter
     (fun (app, _, (r : Ompgpu_api.compiled)) ->
@@ -552,6 +543,10 @@ let observe_json ~sched ~service ~corpus ~fleet ~tiers ~storage path =
   Fmt.pr "wrote %s@." path
 
 let () =
+  (* the fleet section stops a shard under traffic in this process: a
+     peer closing mid-write must be an error, not a process-killing
+     SIGPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let args = List.tl (Array.to_list Sys.argv) in
   if not (List.mem "tables" args) then benchmark ();
   let sched = sched_bench () in

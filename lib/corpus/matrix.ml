@@ -1,7 +1,6 @@
 (* The differential matrix (see the .mli).  All compilation goes through
-   Ompgpu_api.compile_buffered — or a caller-supplied backend with the
-   same signature — so the in-process runner, the daemon traffic
-   generator, and mompc one-shots are byte-identical by construction. *)
+   Ompgpu_api.compile_buffered, so the in-process runner, the daemon
+   replay and mompc one-shots are byte-identical by construction. *)
 
 module Api = Ompgpu_api
 
@@ -78,8 +77,6 @@ type program_result = { index : int; prog : Gen.prog; cells : cell_result list }
 (* Observation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let default_backend ~file ~config src = Api.compile_buffered ~config ~file src
-
 (* The observable of one cell: exit code plus the simulator trace line
    (the host traces all of A and B after the kernel, so this is the final
    memory).  A failing cell observes its structured error line — the
@@ -105,18 +102,18 @@ let observation_of_compiled (r : Api.compiled) =
    diagnostics stay comparable across cells *)
 let corpus_file = "corpus.c"
 
-let observe ?(backend = default_backend) ?pipeline cell prog =
+let observe ?pipeline cell prog =
   let src = Gen.render ~mode:cell.mode prog in
   observation_of_compiled
-    (backend ~file:corpus_file ~config:(config_of_cell ?pipeline cell) src)
+    (Api.compile_buffered ~config:(config_of_cell ?pipeline cell) ~file:corpus_file src)
 
 let checksum obs = String.sub (Sched.Cache.key [ "corpus-obs"; obs ]) 0 12
 
 let reference_cell mode =
   { scheme = Frontend.Codegen.Simplified; mode; pipeline = O0 }
 
-let run_program ?(backend = default_backend) ?pipeline ~index prog =
-  let ref_obs mode = observe ~backend (reference_cell mode) prog in
+let run_program ?pipeline ~index prog =
+  let ref_obs mode = observe (reference_cell mode) prog in
   let refs = List.map (fun m -> (m, ref_obs m)) Gen.modes in
   let cells =
     List.map
@@ -124,7 +121,7 @@ let run_program ?(backend = default_backend) ?pipeline ~index prog =
         let reference = List.assoc cell.mode refs in
         let obs =
           if cell = reference_cell cell.mode then reference
-          else observe ~backend ?pipeline cell prog
+          else observe ?pipeline cell prog
         in
         let verdict =
           if String.equal obs reference then Pass
@@ -145,11 +142,10 @@ let run_program ?(backend = default_backend) ?pipeline ~index prog =
   in
   { index; prog; cells }
 
-let run ?(backend = default_backend) ?pipeline ?(on_program = fun _ -> ())
-    ~root ~n () =
+let run ?pipeline ?(on_program = fun _ -> ()) ~root ~n () =
   List.init n (fun i ->
       let prog = Gen.generate (Gen.program_stream ~root i) in
-      let r = run_program ~backend ?pipeline ~index:i prog in
+      let r = run_program ?pipeline ~index:i prog in
       on_program r;
       r)
 

@@ -40,9 +40,9 @@ val config_of_cell :
   ?pipeline:Ompgpu_api.Pipeline.t -> cell -> Ompgpu_api.Config.t
 (** The facade config a cell compiles under: the cell's scheme,
     [pipeline] (default [Pipeline.full]) for [Full] (none for [O0]),
-    simulation on, IR emission off.  Also what the daemon traffic
-    generator sends.  An explicit [pipeline] stands in for the [Full]
-    cells — [conformance --pipeline fast] replays the matrix with
+    simulation on, IR emission off.  Also what the daemon replay
+    ([tools/replay.ml]) sends.  An explicit [pipeline] stands in for the
+    [Full] cells — [conformance --pipeline fast] replays the matrix with
     the fast tier in the optimized column; [O0] cells are unaffected. *)
 
 val classify : cell -> Gen.prog -> string option
@@ -69,29 +69,12 @@ type program_result = {
   cells : cell_result list;  (** in {!cells} order *)
 }
 
-val observe :
-  ?backend:
-    (file:string -> config:Ompgpu_api.Config.t -> string -> Ompgpu_api.compiled) ->
-  ?pipeline:Ompgpu_api.Pipeline.t ->
-  cell ->
-  Gen.prog ->
-  string
-(** The cell's observation string: ["exit:N|<trace line>"].  [backend]
-    defaults to in-process {!Ompgpu_api.compile_buffered}; the traffic
-    generator substitutes a daemon-backed one.  [?pipeline] is threaded
-    to {!config_of_cell}. *)
-
-val run_program :
-  ?backend:
-    (file:string -> config:Ompgpu_api.Config.t -> string -> Ompgpu_api.compiled) ->
-  ?pipeline:Ompgpu_api.Pipeline.t ->
-  index:int ->
-  Gen.prog ->
-  program_result
+val observe : ?pipeline:Ompgpu_api.Pipeline.t -> cell -> Gen.prog -> string
+(** The cell's observation string: ["exit:N|<trace line>"], compiled
+    in-process by {!Ompgpu_api.compile_buffered}.  [?pipeline] is
+    threaded to {!config_of_cell}. *)
 
 val run :
-  ?backend:
-    (file:string -> config:Ompgpu_api.Config.t -> string -> Ompgpu_api.compiled) ->
   ?pipeline:Ompgpu_api.Pipeline.t ->
   ?on_program:(program_result -> unit) ->
   root:int64 ->

@@ -101,3 +101,79 @@ let qtest ?(count = 100) name gen prop =
       (Option.bind (Sys.getenv_opt "FUZZ_SEED") int_of_string_opt)
   in
   QCheck_alcotest.to_alcotest ?rand (QCheck.Test.make ~count ~name gen prop)
+
+(* ------------------------------------------------------------------ *)
+(* Service tests: sockets, scratch files, compiled-bytes comparison    *)
+(* ------------------------------------------------------------------ *)
+
+(* Unix-socket paths are length-limited (~108 bytes): keep them short and
+   in the system temp dir, never under _build. *)
+let fresh_socket =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mompd-t%d-%d.sock" (Unix.getpid ()) !n)
+
+let temp_dir prefix =
+  let path = Filename.temp_file prefix "" in
+  Sys.remove path;
+  Sys.mkdir path 0o755;
+  path
+
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc contents)
+
+let contains s frag =
+  let ls = String.length s and lf = String.length frag in
+  let rec go i = i + lf <= ls && (String.sub s i lf = frag || go (i + 1)) in
+  go 0
+
+let ok_exn = function
+  | Ok v -> v
+  | Error e ->
+    Alcotest.failf "unexpected service error: %s" (Fault.Ompgpu_error.to_string e)
+
+(* Zero every [time_us] member: pass events carry wall times, the only
+   nondeterministic bytes in a stats payload. *)
+let rec zero_times = function
+  | Observe.Json.Obj ms ->
+    Observe.Json.Obj
+      (List.map
+         (fun (k, v) ->
+           if String.equal k "time_us" then (k, Observe.Json.Int 0)
+           else (k, zero_times v))
+         ms)
+  | Observe.Json.List xs -> Observe.Json.List (List.map zero_times xs)
+  | j -> j
+
+let check_same_compiled what (expected : Ompgpu_api.compiled)
+    (got : Ompgpu_api.compiled) =
+  Alcotest.(check int) (what ^ ": exit code") expected.exit_code got.exit_code;
+  Alcotest.(check string) (what ^ ": stdout bytes") expected.output got.output;
+  Alcotest.(check string)
+    (what ^ ": stderr bytes")
+    expected.diagnostics got.diagnostics;
+  let stats (r : Ompgpu_api.compiled) =
+    Option.map (fun s -> Observe.Json.to_string (zero_times s)) r.stats
+  in
+  Alcotest.(check (option string))
+    (what ^ ": stats payload (time_s zeroed)")
+    (stats expected) (stats got)
+
+let tiers_int stats k =
+  Option.bind (Observe.Json.member "tiers" stats) (fun t ->
+      Option.bind (Observe.Json.member k t) Observe.Json.to_int)
+
+let rec wait_for_upgrades c ~target deadline =
+  let stats = ok_exn (Service.Client.stats c ()) in
+  match tiers_int stats "upgrades_done" with
+  | Some n when n >= target -> stats
+  | _ ->
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "tier upgrade did not land within the deadline"
+    else begin
+      Thread.delay 0.02;
+      wait_for_upgrades c ~target deadline
+    end

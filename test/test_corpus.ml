@@ -237,21 +237,48 @@ let ledger_golden () =
        test/corpus_ledger.expected" report
 
 (* ------------------------------------------------------------------ *)
-(* Daemon traffic                                                      *)
+(* Daemon replay                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let traffic_smoke () =
-  let s = Corpus.Traffic.run ~connections:2 ~domains:1 ~root:42L ~n:2 () in
-  checki "jobs = programs x cells" (2 * List.length Corpus.Matrix.cells)
-    s.Corpus.Traffic.jobs;
-  checki "transport errors" 0 s.Corpus.Traffic.transport_errors;
+  let s = Replay.daemon ~connections:2 ~domains:1 ~root:42L ~n:2 in
+  let int k = Option.bind (Observe.Json.member k s) Observe.Json.to_int in
+  check Alcotest.(option int) "jobs = programs x cells"
+    (Some (2 * List.length Corpus.Matrix.cells)) (int "jobs");
+  check Alcotest.(option int) "transport errors" (Some 0) (int "transport_errors");
   check Alcotest.bool "daemon answers byte-identical to in-process" true
-    s.Corpus.Traffic.byte_identical;
+    (Replay.byte_identical s);
   (* the observe section carries the schema stamp *)
-  match Corpus.Traffic.to_json s with
+  match s with
   | Observe.Json.Obj (("schema", Observe.Json.Int v) :: _) ->
     checki "corpus section schema" Ompgpu_api.schema_version v
   | _ -> Alcotest.fail "corpus JSON section is not schema-stamped"
+
+(* The verdict can fail: one job's expected output and another's expected
+   diagnostics each carry one extra byte, and the tally must name exactly
+   those two jobs in both passes — so it compares both fields. *)
+let traffic_verdict_can_fail () =
+  let jobs = Replay.jobs ~root:42L ~n:1 () in
+  let expected = Replay.expected jobs in
+  let extra_output = 1 and extra_diagnostics = 2 in
+  let e = expected.(extra_output) in
+  expected.(extra_output) <- { e with Ompgpu_api.output = e.Ompgpu_api.output ^ "x" };
+  let e = expected.(extra_diagnostics) in
+  expected.(extra_diagnostics) <-
+    { e with Ompgpu_api.diagnostics = e.Ompgpu_api.diagnostics ^ "x" };
+  let cold, warm =
+    Replay.with_daemon ~domains:1 (fun socket_path ->
+        let cold = Replay.pass ~connections:2 ~socket_path jobs in
+        (cold, Replay.pass ~connections:2 ~socket_path jobs))
+  in
+  let tallies = List.map (Replay.tally ~expected) [ cold; warm ] in
+  List.iter2
+    (fun name (t : Replay.tally) ->
+      check Alcotest.(list int) (name ^ ": mismatched jobs")
+        [ extra_output; extra_diagnostics ] t.Replay.mismatched;
+      checki (name ^ ": transport errors") 0 t.Replay.errors)
+    [ "cold"; "warm" ] tallies;
+  check Alcotest.bool "not byte-identical" false (Replay.identical jobs tallies)
 
 (* Regression for the cache-aliasing bug the full-scale corpus caught:
    the daemon's warm cache served one request's file label to a later
@@ -259,38 +286,22 @@ let traffic_smoke () =
    the label, so the bytes differed from in-process compilation).  The
    file label now joins Ompgpu_api.cache_key. *)
 let traffic_no_file_alias () =
-  let socket_path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mompd-alias-%d.sock" (Unix.getpid ()))
-  in
-  let server =
-    Service.Server.create
-      { Service.Server.default_config with socket_path; domains = 1 }
-  in
-  let server_thread = Thread.create Service.Server.serve_forever server in
   let config = { Ompgpu_api.Config.default with run_sim = true; emit_ir = false } in
   (* malformed on purpose: the structured error line embeds the file *)
   let src = "int main() { long x = ; }\n" in
-  let daemon =
-    Service.Client.with_connection ~socket_path (fun c ->
-        let compile file =
-          match Service.Client.compile c ~file ~config src with
-          | Ok r -> r
-          | Error e ->
-            Alcotest.failf "daemon compile %s: %s" file
-              (Fault.Ompgpu_error.to_string e)
-        in
-        let a = compile "alias-a.c" in
-        let b = compile "alias-b.c" in
-        (match Service.Client.shutdown c () with
-        | Ok () -> ()
-        | Error e ->
-          Alcotest.failf "shutdown: %s" (Fault.Ompgpu_error.to_string e));
-        (a, b))
+  let a, b =
+    Replay.with_daemon ~domains:1 (fun socket_path ->
+        Service.Client.with_connection ~socket_path (fun c ->
+            let compile file =
+              match Service.Client.compile c ~file ~config src with
+              | Ok r -> r
+              | Error e ->
+                Alcotest.failf "daemon compile %s: %s" file
+                  (Fault.Ompgpu_error.to_string e)
+            in
+            let a = compile "alias-a.c" in
+            (a, compile "alias-b.c")))
   in
-  Thread.join server_thread;
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  let a, b = daemon in
   let expect file = Ompgpu_api.compile_buffered ~config ~file src in
   checks "alias-a.c keeps its own label"
     (expect "alias-a.c").Ompgpu_api.diagnostics a.Ompgpu_api.diagnostics;
@@ -313,6 +324,8 @@ let suite =
     Alcotest.test_case "ledger: diff semantics" `Quick ledger_diff_unit;
     Alcotest.test_case "ledger: committed golden matches" `Slow ledger_golden;
     Alcotest.test_case "traffic: daemon corpus byte-identical" `Slow traffic_smoke;
+    Alcotest.test_case "traffic: byte-identity verdict can fail" `Quick
+      traffic_verdict_can_fail;
     Alcotest.test_case "traffic: no file-label aliasing in warm cache" `Quick
       traffic_no_file_alias;
   ]

@@ -17,6 +17,7 @@ module E = Fault.Ompgpu_error
 module A = Ompgpu_api
 module Router = Service.Router
 module Ring = Service.Ring
+open Helpers
 
 (* Shards are stopped under live relays here; a write to a severed socket
    must surface as an error, not a process-killing SIGPIPE. *)
@@ -37,17 +38,6 @@ let config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim)
 
 let source =
   (Proxyapps.Apps.find_exn "xsbench").Proxyapps.App.omp_source Proxyapps.App.Tiny
-
-let ok_exn = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected service error: %s" (E.to_string e)
-
-let check_same_compiled what (expected : A.compiled) (got : A.compiled) =
-  Alcotest.(check int) (what ^ ": exit code") expected.A.exit_code got.A.exit_code;
-  Alcotest.(check string) (what ^ ": stdout bytes") expected.A.output got.A.output;
-  Alcotest.(check string)
-    (what ^ ": stderr bytes")
-    expected.A.diagnostics got.A.diagnostics
 
 (* A fleet of in-process supervised shards behind a router, torn down even
    when the body raises.  [injector] arms router-level sites only. *)

@@ -11,6 +11,7 @@
 module J = Observe.Json
 module E = Fault.Ompgpu_error
 module A = Ompgpu_api
+open Helpers
 
 (* Severed sockets are routine here; a write to one must be a Sys_error,
    not a process-killing SIGPIPE. *)
@@ -19,33 +20,7 @@ let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 let tiny = Proxyapps.App.Tiny
 let app_source name = (Proxyapps.Apps.find_exn name).Proxyapps.App.omp_source tiny
 
-let fresh_socket =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "momprs-%d-%d.sock" (Unix.getpid ()) !n)
-
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  Sys.mkdir path 0o755;
-  path
-
-let write_file path contents =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc contents)
-
 let read_file path = In_channel.with_open_text path In_channel.input_all
-
-let contains s frag =
-  let ls = String.length s and lf = String.length frag in
-  let rec go i = i + lf <= ls && (String.sub s i lf = frag || go (i + 1)) in
-  go 0
-
-let ok_exn = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected service error: %s" (E.to_string e)
 
 let server_config ?(domains = 2) ?(capacity = 8) ?watchdog_s ?cache_dir
     ?state_dir ?(injector = Fault.Injector.none) ?(drain_deadline_s = 5.0)
@@ -64,13 +39,6 @@ let server_config ?(domains = 2) ?(capacity = 8) ?watchdog_s ?cache_dir
     cache_max_bytes = None;
     journal_max_bytes = None;
   }
-
-let check_same_compiled what (expected : A.compiled) (got : A.compiled) =
-  Alcotest.(check int) (what ^ ": exit code") expected.A.exit_code got.A.exit_code;
-  Alcotest.(check string) (what ^ ": stdout bytes") expected.A.output got.A.output;
-  Alcotest.(check string)
-    (what ^ ": stderr bytes")
-    expected.A.diagnostics got.A.diagnostics
 
 (* ------------------------------------------------------------------ *)
 (* Disk cache: orphaned temp sweep                                     *)

@@ -10,6 +10,7 @@
 module J = Observe.Json
 module E = Fault.Ompgpu_error
 module A = Ompgpu_api
+open Helpers
 
 let tiny = Proxyapps.App.Tiny
 let app_source name = (Proxyapps.Apps.find_exn name).Proxyapps.App.omp_source tiny
@@ -19,15 +20,6 @@ let all_app_names =
 (* ------------------------------------------------------------------ *)
 (* Harness: an in-process daemon on a fresh socket                     *)
 (* ------------------------------------------------------------------ *)
-
-let fresh_socket =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    (* Unix-socket paths are length-limited (~108 bytes): keep them short
-       and in the system temp dir, never under _build. *)
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mompd-t%d-%d.sock" (Unix.getpid ()) !n)
 
 let with_server ?(domains = 2) ?(capacity = 8) ?watchdog_s ?cache_dir ?state_dir
     ?(injector = Fault.Injector.none) ?(drain_deadline_s = 5.0)
@@ -56,33 +48,6 @@ let with_server ?(domains = 2) ?(capacity = 8) ?watchdog_s ?cache_dir ?state_dir
       Service.Server.stop server;
       Thread.join thread)
     (fun () -> f socket_path)
-
-let ok_exn = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected service error: %s" (E.to_string e)
-
-(* Zero every [time_us] member: pass events carry wall times, the only
-   nondeterministic bytes in a stats payload. *)
-let rec zero_times = function
-  | J.Obj ms ->
-    J.Obj
-      (List.map
-         (fun (k, v) ->
-           if String.equal k "time_us" then (k, J.Int 0) else (k, zero_times v))
-         ms)
-  | J.List xs -> J.List (List.map zero_times xs)
-  | j -> j
-
-let check_same_compiled what (expected : A.compiled) (got : A.compiled) =
-  Alcotest.(check int) (what ^ ": exit code") expected.A.exit_code got.A.exit_code;
-  Alcotest.(check string) (what ^ ": stdout bytes") expected.A.output got.A.output;
-  Alcotest.(check string)
-    (what ^ ": stderr bytes")
-    expected.A.diagnostics got.A.diagnostics;
-  let stats r = Option.map (fun s -> J.to_string (zero_times s)) r.A.stats in
-  Alcotest.(check (option string))
-    (what ^ ": stats payload (time_s zeroed)")
-    (stats expected) (stats got)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol goldens                                                    *)
@@ -200,11 +165,6 @@ let test_bad_requests () =
     | Error e ->
       Alcotest.(check string) (what ^ ": kind") "bad-request" (E.kind_name e.E.kind);
       Alcotest.(check int) (what ^ ": exit code") 42 (E.exit_code e);
-      let contains s frag =
-        let ls = String.length s and lf = String.length frag in
-        let rec go i = i + lf <= ls && (String.sub s i lf = frag || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: message mentions %S (got %S)" what expected_fragment
            e.E.message)
@@ -466,22 +426,6 @@ let test_daemon_rejects_garbage_line () =
 (* Tiered compilation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let tiers_int stats k =
-  Option.bind (J.member "tiers" stats) (fun t ->
-      Option.bind (J.member k t) J.to_int)
-
-let rec wait_for_upgrades c ~target deadline =
-  let stats = ok_exn (Service.Client.stats c ()) in
-  match tiers_int stats "upgrades_done" with
-  | Some n when n >= target -> stats
-  | _ ->
-    if Unix.gettimeofday () > deadline then
-      Alcotest.fail "tier upgrade did not land within the deadline"
-    else begin
-      Thread.delay 0.02;
-      wait_for_upgrades c ~target deadline
-    end
-
 (* The tentpole's acceptance: a tiered daemon answers a cold
    full-pipeline request from the fast tier; a racing request sees the
    fast bytes or the full bytes — both complete compiles — never a torn
@@ -626,11 +570,6 @@ let test_cli_daemon_matches_oneshot () =
   Alcotest.(check int) "exit code" code1 code2;
   Alcotest.(check string) "stdout bytes" out1 out2;
   Alcotest.(check string) "stderr bytes" err1 err2
-
-let contains s frag =
-  let ls = String.length s and lf = String.length frag in
-  let rec go i = i + lf <= ls && (String.sub s i lf = frag || go (i + 1)) in
-  go 0
 
 (* The PR-4 compatibility aliases served their one-release grace period
    (docs/API.md deprecation policy) and are retired with api_version 2:

@@ -13,32 +13,12 @@
 module J = Observe.Json
 module E = Fault.Ompgpu_error
 module A = Ompgpu_api
+open Helpers
 
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
 let tiny = Proxyapps.App.Tiny
 let app_source name = (Proxyapps.Apps.find_exn name).Proxyapps.App.omp_source tiny
-
-let fresh_socket =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mompst-%d-%d.sock" (Unix.getpid ()) !n)
-
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  Sys.mkdir path 0o755;
-  path
-
-let write_file path contents =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc contents)
-
-let ok_exn = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected service error: %s" (E.to_string e)
 
 let with_server ?(domains = 2) ?(capacity = 8) ?cache_dir ?state_dir
     ?(injector = Fault.Injector.none) ?(tiered = false) ?cache_max_entries
@@ -381,28 +361,6 @@ let test_journal_midlife_rotation () =
 (* Daemon-level composition                                            *)
 (* ------------------------------------------------------------------ *)
 
-let tiers_int stats k =
-  Option.bind (J.member "tiers" stats) (fun t ->
-      Option.bind (J.member k t) J.to_int)
-
-let rec wait_for_upgrades c ~target deadline =
-  let stats = ok_exn (Service.Client.stats c ()) in
-  match tiers_int stats "upgrades_done" with
-  | Some n when n >= target -> stats
-  | _ ->
-    if Unix.gettimeofday () > deadline then
-      Alcotest.fail "tier upgrade did not land within the deadline"
-    else begin
-      Thread.delay 0.02;
-      wait_for_upgrades c ~target deadline
-    end
-
-let check_bytes what (expected : A.compiled) (got : A.compiled) =
-  Alcotest.(check int) (what ^ ": exit code") expected.A.exit_code got.A.exit_code;
-  Alcotest.(check string) (what ^ ": stdout bytes") expected.A.output got.A.output;
-  Alcotest.(check string)
-    (what ^ ": stderr bytes") expected.A.diagnostics got.A.diagnostics
-
 (* The satellite acceptance: every store failing as disk-full under
    concurrent traffic costs warm hits only — zero client-visible
    failures, byte-identical answers — and the stats surface the tripped
@@ -446,7 +404,7 @@ let test_daemon_disk_full_invisible () =
       match results.(i) with
       | None -> Alcotest.failf "%s: no reply" app
       | Some r ->
-        check_bytes (app ^ " under injected disk-full") oneshot (ok_exn r))
+        check_same_compiled (app ^ " under injected disk-full") oneshot (ok_exn r))
     oneshots;
   Service.Client.with_connection ~socket_path @@ fun c ->
   let stats = ok_exn (Service.Client.stats c ()) in
@@ -503,7 +461,7 @@ let test_daemon_upgrade_survives_eviction () =
       (Service.Client.compile c ~file:(app_b ^ ".momp") ~config
          (app_source app_b))
   in
-  check_bytes "post-upgrade B is byte-identical to one-shot full" full_b warm_b
+  check_same_compiled "post-upgrade B is byte-identical to one-shot full" full_b warm_b
 
 (* A tiered daemon restarted over the same --state-dir boots already
    knowing its hot keys: the drain checkpoints the hotness profile and

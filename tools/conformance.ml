@@ -171,6 +171,9 @@ let dump_program ~root index =
     Corpus.Matrix.cells
 
 let () =
+  (* replays boot servers in this process: a peer closing mid-write must
+     be an error on that connection, not a process-killing SIGPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let o = parse_args () in
   (match o.only with
   | Some i ->
@@ -246,82 +249,40 @@ let () =
       | Error report ->
         failed := true;
         Fmt.epr "conformance: ledger drift vs %s:@.%s@." path report)));
-  if o.daemon then begin
-    let s = Corpus.Traffic.run ~connections:o.connections ~domains:o.domains
-        ~root:o.seed ~n:o.n ()
-    in
-    Fmt.pr
-      "daemon: %d jobs over %d connections (%d domains): cold %.1f compiles/s \
-       (%.1fs), warm %.1f compiles/s (%.1fs), byte-identical %b@."
-      s.Corpus.Traffic.jobs s.Corpus.Traffic.connections s.Corpus.Traffic.domains
-      s.Corpus.Traffic.cold_cps s.Corpus.Traffic.cold_s s.Corpus.Traffic.warm_cps
-      s.Corpus.Traffic.warm_s s.Corpus.Traffic.byte_identical;
-    if not s.Corpus.Traffic.byte_identical then begin
+  (* each replay prints its section and fails the run unless every answer
+     was byte-identical to in-process compilation *)
+  let replay name section =
+    Fmt.pr "%s: %s@." name (Replay.summary section);
+    if not (Replay.byte_identical section) then begin
       failed := true;
-      Fmt.epr "conformance: daemon results diverged from in-process compilation \
-               (%d transport errors)@."
-        s.Corpus.Traffic.transport_errors
+      Fmt.epr "conformance: %s replay diverged from in-process compilation@." name
     end;
-    match o.observe with
-    | Some path -> merge_observe path "corpus" (Corpus.Traffic.to_json s)
-    | None -> ()
-  end
+    section
+  in
+  let merge member section =
+    Option.iter (fun path -> merge_observe path member section) o.observe
+  in
+  if o.daemon then
+    merge "corpus"
+      (replay "daemon"
+         (Replay.daemon ~connections:o.connections ~domains:o.domains
+            ~root:o.seed ~n:o.n))
   else if o.observe <> None && not o.tiered then
     die "--observe requires --daemon or --tiered (it merges daemon-measured \
          sections)";
-  if o.tiered then begin
-    (* tiered daemon vs untiered daemon on the tier-eligible slice: cold
-       p50 must drop, and post-upgrade answers must be byte-identical to
-       one-shot full-pipeline compiles *)
-    let ts =
-      Corpus.Traffic.run_tiered ~connections:o.connections ~domains:o.domains
-        ~root:o.seed ~n:o.n ()
-    in
-    Fmt.pr
-      "tiers: %d jobs over %d connections (%d domains): cold p50 full \
-       %.1fms vs tiered %.1fms, warm %.1f vs %.1f compiles/s, %d \
-       upgrade(s) drained in %.1fs (%.1f/s), post-upgrade byte-identical \
-       %b@."
-      ts.Corpus.Traffic.tr_jobs ts.Corpus.Traffic.tr_connections
-      ts.Corpus.Traffic.tr_domains ts.Corpus.Traffic.full_cold_p50_ms
-      ts.Corpus.Traffic.tiered_cold_p50_ms ts.Corpus.Traffic.full_warm_cps
-      ts.Corpus.Traffic.tiered_warm_cps ts.Corpus.Traffic.upgrades_done
-      ts.Corpus.Traffic.upgrade_drain_s ts.Corpus.Traffic.upgrades_per_s
-      ts.Corpus.Traffic.post_upgrade_identical;
-    if not ts.Corpus.Traffic.post_upgrade_identical then begin
-      failed := true;
-      Fmt.epr
-        "conformance: post-upgrade tiered answers diverged from one-shot \
-         full-pipeline compilation (%d transport errors)@."
-        ts.Corpus.Traffic.tr_transport_errors
-    end;
-    match o.observe with
-    | Some path -> merge_observe path "tiers" (Corpus.Traffic.tiers_to_json ts)
-    | None -> ()
-  end;
-  if o.router then begin
-    (* the same corpus, the same byte-identity bar, but through the fleet:
-       a router + shards answer must match the in-process facade exactly *)
-    let f =
-      Corpus.Traffic.run_fleet ~connections:o.connections ~shards:o.shards
-        ~domains:o.domains ~root:o.seed ~n:o.n ()
-    in
-    let s = f.Corpus.Traffic.base in
-    Fmt.pr
-      "router: %d jobs over %d connections and %d shard(s): cold %.1f \
-       compiles/s (%.1fs), warm %.1f compiles/s (%.1fs), warm-hit ratio \
-       %.2f, %d failover(s), %d fallback(s), byte-identical %b@."
-      s.Corpus.Traffic.jobs s.Corpus.Traffic.connections f.Corpus.Traffic.shards
-      s.Corpus.Traffic.cold_cps s.Corpus.Traffic.cold_s s.Corpus.Traffic.warm_cps
-      s.Corpus.Traffic.warm_s f.Corpus.Traffic.warm_hit_ratio
-      f.Corpus.Traffic.failovers f.Corpus.Traffic.fallbacks
-      s.Corpus.Traffic.byte_identical;
-    if not s.Corpus.Traffic.byte_identical then begin
-      failed := true;
-      Fmt.epr
-        "conformance: fleet results diverged from in-process compilation (%d \
-         transport errors)@."
-        s.Corpus.Traffic.transport_errors
-    end
-  end;
+  (* tiered daemon vs untiered daemon on the tier-eligible slice: cold
+     p50 must drop, and post-upgrade answers must be byte-identical to
+     one-shot full-pipeline compiles *)
+  if o.tiered then
+    merge "tiers"
+      (replay "tiers"
+         (Replay.tiers ~connections:o.connections ~domains:o.domains
+            ~root:o.seed ~n:o.n));
+  (* the same corpus, the same byte-identity bar, but through the fleet:
+     a router + shards answer must match the in-process facade exactly *)
+  if o.router then
+    ignore
+      (replay "router"
+         (Replay.fleet ~connections:o.connections ~shards:o.shards
+            ~domains:o.domains ~root:o.seed ~n:o.n));
   if !failed then exit 1
