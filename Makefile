@@ -22,9 +22,16 @@ fmt-check:
 # What a gate should run: build everything, the full test suite, a
 # reproducible (fixed-seed) longer fuzz pass, and the regression test that
 # fuzz counterexamples actually fail the gate (exit-code propagation).
+# Tier-1 must leave $TMPDIR as it found it.  dune runs each action under a
+# private TMPDIR of its own and deletes it, so the suite binary also runs
+# directly under the same fresh directory, where a leak would stay.  A
+# short mktemp path keeps socket paths under the ~108-byte limit.
 ci:
 	dune build @all
-	dune runtest
+	T=$$(mktemp -d) && TMPDIR=$$T dune runtest && \
+	  TMPDIR=$$T dune exec test/test_main.exe -- --compact && \
+	  if [ -n "$$(ls -A $$T)" ]; then echo "tier-1 left files in $$T:"; ls -A $$T; exit 1; fi && \
+	  rmdir $$T
 	FUZZ_SEED=42 FUZZ_ITERS=200 dune exec test/test_main.exe -- test fuzz
 	sh tools/check_fuzz_exit.sh
 	sh tools/fault_matrix.sh

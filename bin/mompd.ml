@@ -48,6 +48,30 @@ let fail_error e =
   Fmt.epr "mompd: %s@." (Fault.Ompgpu_error.to_string e);
   Fault.Ompgpu_error.exit_code e
 
+(* The hard stop behind a graceful drain, so a wedged drain cannot hang
+   the process group.  Its timer thread starts here, on the main thread,
+   before serving: a thread created inside a signal handler belongs to the
+   domain that ran the handler and holds that domain's [Domain.join] until
+   it ends.  The SIGTERM/SIGINT handler only calls the returned [arm].
+   [after_s] seconds after arming, the process exits with the timeout
+   code (24) and one stderr line — never 0, which reads as a clean drain. *)
+let hard_stop ~after_s =
+  let armed = Atomic.make false in
+  let timer () =
+    while not (Atomic.get armed) do
+      Thread.delay 0.1
+    done;
+    Thread.delay after_s;
+    Stdlib.exit
+      (fail_error
+         (Fault.Ompgpu_error.make
+            (Fault.Ompgpu_error.Timeout { seconds = after_s })
+            ~phase:Fault.Ompgpu_error.Serving
+            "graceful drain did not finish: hard stop"))
+  in
+  ignore (Thread.create timer ());
+  fun () -> Atomic.set armed true
+
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -91,16 +115,10 @@ let serve socket domains capacity watchdog cache_dir cache_max_bytes
       }
     in
     let sup = Service.Supervisor.create sup_cfg in
+    let arm_hard_stop = hard_stop ~after_s:(drain_deadline +. 2.0) in
     let drain_and_exit _signal =
       Service.Supervisor.stop sup;
-      (* hard stop: if the drain wedges (a compile past the deadline), do
-         not hang the process group forever *)
-      ignore
-        (Thread.create
-           (fun () ->
-             Thread.delay (drain_deadline +. 2.0);
-             Stdlib.exit 0)
-           ())
+      arm_hard_stop ()
     in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle drain_and_exit);
     Sys.set_signal Sys.sigint (Sys.Signal_handle drain_and_exit);
@@ -328,7 +346,6 @@ let route socket shards domains capacity cache_dir cache_max_bytes
     in
     let cfg =
       {
-        Service.Router.default_config with
         Service.Router.socket_path;
         capacity;
         queue_deadline_s = queue_deadline;
@@ -340,14 +357,10 @@ let route socket shards domains capacity cache_dir cache_max_bytes
       }
     in
     let router = Service.Router.create cfg backends in
+    let arm_hard_stop = hard_stop ~after_s:10.0 in
     let drain_and_exit _signal =
       Service.Router.stop router;
-      ignore
-        (Thread.create
-           (fun () ->
-             Thread.delay 10.0;
-             Stdlib.exit 0)
-           ())
+      arm_hard_stop ()
     in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle drain_and_exit);
     Sys.set_signal Sys.sigint (Sys.Signal_handle drain_and_exit);

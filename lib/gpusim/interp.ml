@@ -300,8 +300,8 @@ let decode_func mem by_name sites (f : Func.t) =
   { func = f; nregs = !nregs; blocks }
 
 let create ?(fuel = 200_000_000) ?(injector = Fault.Injector.none)
-    ?scratch (machine : Machine.t) (m : Irmod.t) =
-  let mem = Mem.create ~injector ?scratch machine in
+    (machine : Machine.t) (m : Irmod.t) =
+  let mem = Mem.create ~injector machine in
   Mem.layout_module mem m;
   let by_name = Hashtbl.create 64 in
   List.iteri (fun k f -> Hashtbl.replace by_name f.Func.name k) m.Irmod.funcs;
@@ -320,10 +320,6 @@ let create ?(fuel = 200_000_000) ?(injector = Fault.Injector.none)
     cur_team = None;
     prog = { plans; by_name; sites };
   }
-
-(* Hand the memory arenas back to the scratch pool (when one was attached).
-   The interpreter must not be used afterwards. *)
-let release t = Mem.release t.mem
 
 let plan_named t name =
   match Hashtbl.find_opt t.prog.by_name name with
@@ -1502,9 +1498,9 @@ let launch_kernel t (kernel : Func.t) (args : Rvalue.t list) =
     let team_time = Array.fold_left (fun acc th -> max acc th.clock) 0 threads in
     stats.team_cycles_total <- stats.team_cycles_total + team_time;
     if team.shared_high > !max_team_shared then max_team_shared := team.shared_high;
-    (* release per-team memory arenas (recycled via the scratch if any) *)
-    Mem.release_shared t.mem team_uid;
-    Array.iter (fun th -> Mem.release_local t.mem th.gid) threads
+    (* the team's shared and local memory dies with it *)
+    Mem.drop_shared t.mem team_uid;
+    Array.iter (fun th -> Mem.drop_local t.mem th.gid) threads
   done;
   stats.shared_bytes <- !max_team_shared;
   (* keep the larger of the concurrency-scaled footprint (recorded at the

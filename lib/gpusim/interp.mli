@@ -78,20 +78,14 @@ val occupancy_factor : Machine.t -> int -> float
 val create :
   ?fuel:int ->
   ?injector:Fault.Injector.t ->
-  ?scratch:Scratch.t ->
   Machine.t ->
   Ir.Irmod.t ->
   t
 (** Lay out the module's globals and prepare a simulation.  [fuel] bounds
     the total number of executed instructions (default 2e8).  [injector]
     arms the [Mem_alloc], [Shared_budget] and [Sim_trap] fault sites.
-    [scratch] backs the simulated memory with a pool worker's recycled
-    arenas (zero-filled on reuse — results stay byte-identical to fresh
-    allocation); call {!release} when done with the interpreter. *)
-
-val release : t -> unit
-(** Return the memory arenas to the scratch (no-op without one).  The
-    interpreter must not be used afterwards. *)
+    Simulated memory is allocated as the run touches it ({!Mem}), so
+    creation is cheap and nothing needs releasing afterwards. *)
 
 val run_host : ?entry:string -> t -> unit
 (** Execute the host [entry] function (default ["main"]).  Kernel launches

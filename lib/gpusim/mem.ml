@@ -8,28 +8,31 @@
    under the legacy SPMD fast path; the simulator counts these accesses so
    tests can assert on them.
 
-   Every store records a dirty high-water mark (per shared/local arena; two
-   marks for the global arena — module-globals region and heap region — so
-   one heap store does not mark the whole span dirty).  When a [Scratch.t]
-   is attached, released arenas carry their dirty extent back to the pool,
-   which re-zeroes only those bytes on reuse; bytes beyond a mark were
-   never written and are still zero.  The batch path thus skips nearly all
-   of the tens of MBs a fresh [Bytes.make] must fill per job, with results
-   byte-identical to the allocate-per-job path.
+   Memory is allocated on first touch.  Every arena starts empty and, when
+   an access first reaches past its allocated bytes, grows by doubling (up
+   to the size the machine gives the space); bytes never allocated were
+   never written and read as zero, exactly as in a fully allocated arena.
+   A run therefore pays for the KBs it touches, not for the machine's MBs.
+   The global space keeps the device addresses of a single arena — module
+   globals from 0, the heap from [global_bytes - heap_bytes] — but backs
+   them with two arenas, so a heap access does not allocate the unused gap
+   below the heap.
 
-   An access costs no table lookup and allocates nothing: the offset into
-   an arena is always the pointer's [addr], and the running team's and
-   thread's arenas sit in one-entry caches in front of their tables. *)
+   An access costs no table lookup and allocates nothing once its arena has
+   grown far enough: the running team's and thread's arenas sit in
+   one-entry caches in front of their tables. *)
 
 open Rvalue
 
-(* A shared/local arena plus the high end of its written span. *)
-type arena = { ab : Bytes.t; mutable ahigh : int }
+(* The bytes of [base, base + length ab) of a space whose addresses run
+   over [0, size). *)
+type arena = { mutable ab : Bytes.t; base : int; size : int }
 
 (* The shared or the local arenas by owner, and the last one resolved
-   ([no_owner] when none; a release clears it). *)
+   ([no_owner] when none; a drop clears it). *)
 type arenas = {
   table : (int, arena) Hashtbl.t;
+  arena_size : int;
   mutable last_owner : int;
   mutable last : arena;
 }
@@ -37,9 +40,8 @@ type arenas = {
 type t = {
   machine : Machine.t;
   injector : Fault.Injector.t;
-  (* arena recycler of the owning pool worker; None = allocate-per-job *)
-  scratch : Scratch.t option;
-  global : Bytes.t;
+  globals : arena;  (* addresses below heap_base *)
+  heap : arena;  (* addresses from heap_base *)
   shareds : arenas;  (* by team *)
   locals : arenas;  (* by thread *)
   globals_layout : (string, int) Hashtbl.t;  (* global-space globals *)
@@ -51,8 +53,6 @@ type t = {
   mutable heap_free : (int * int) list;  (* (addr, size) free blocks *)
   mutable heap_in_use : int;
   mutable heap_high_water : int;
-  mutable gdirty_low : int;  (* high end of stores below heap_base *)
-  mutable gdirty_heap : int;  (* high end of stores at/above heap_base *)
   mutable cross_local_accesses : int;
   (* address ranges of small read-mostly global arrays assumed resident in
      the read-only cache (the simulator has no cache hierarchy; arrays up to
@@ -62,22 +62,26 @@ type t = {
 
 exception Out_of_memory of string
 
-let no_owner = min_int
-let no_arena = { ab = Bytes.empty; ahigh = 0 }
-let arenas n = { table = Hashtbl.create n; last_owner = no_owner; last = no_arena }
+(* The first allocation of an arena; each later one doubles it. *)
+let initial_bytes = 256
 
-let create ?(injector = Fault.Injector.none) ?scratch (machine : Machine.t) =
-  let heap_base = machine.Machine.global_bytes - machine.Machine.heap_bytes in
+let arena ~base size = { ab = Bytes.empty; base; size }
+let no_owner = min_int
+let no_arena = arena ~base:0 0
+
+let arenas n arena_size =
+  { table = Hashtbl.create n; arena_size; last_owner = no_owner; last = no_arena }
+
+let create ?(injector = Fault.Injector.none) (machine : Machine.t) =
+  let global_bytes = machine.Machine.global_bytes in
+  let heap_base = global_bytes - machine.Machine.heap_bytes in
   {
     machine;
     injector;
-    scratch;
-    global =
-      (match scratch with
-      | Some s -> Scratch.take_global s machine.Machine.global_bytes
-      | None -> Bytes.make machine.Machine.global_bytes '\000');
-    shareds = arenas 16;
-    locals = arenas 64;
+    globals = arena ~base:0 global_bytes;
+    heap = arena ~base:heap_base global_bytes;
+    shareds = arenas 16 machine.Machine.shared_bytes_per_team;
+    locals = arenas 64 machine.Machine.local_bytes_per_thread;
     globals_layout = Hashtbl.create 16;
     shared_layout = Hashtbl.create 16;
     globals_size = 0;
@@ -87,8 +91,6 @@ let create ?(injector = Fault.Injector.none) ?scratch (machine : Machine.t) =
     heap_free = [];
     heap_in_use = 0;
     heap_high_water = 0;
-    gdirty_low = 0;
-    gdirty_heap = heap_base;
     cross_local_accesses = 0;
     cached_ranges = [];
   }
@@ -119,117 +121,69 @@ let layout_module t (m : Ir.Irmod.t) =
   if t.globals_size > t.heap_base then
     raise (Out_of_memory "module globals exceed global memory")
 
-(* The owner's arena, made with [fresh] on first use; only a miss of the
+(* The owner's arena, made empty on first use; only a miss of the
    one-entry cache reaches the table. *)
-let lookup arenas owner fresh =
-  let a =
-    match Hashtbl.find_opt arenas.table owner with
-    | Some a -> a
-    | None ->
-      let a = { ab = fresh (); ahigh = 0 } in
-      Hashtbl.replace arenas.table owner a;
-      a
-  in
-  arenas.last_owner <- owner;
-  arenas.last <- a;
-  a
+let owned arenas owner =
+  if owner = arenas.last_owner then arenas.last
+  else begin
+    let a =
+      match Hashtbl.find_opt arenas.table owner with
+      | Some a -> a
+      | None ->
+        let a = arena ~base:0 arenas.arena_size in
+        Hashtbl.replace arenas.table owner a;
+        a
+    in
+    arenas.last_owner <- owner;
+    arenas.last <- a;
+    a
+  end
 
-let shared_of t team =
-  if team = t.shareds.last_owner then t.shareds.last
-  else
-    lookup t.shareds team (fun () ->
-        let size = t.machine.Machine.shared_bytes_per_team in
-        match t.scratch with
-        | Some s -> Scratch.take_shared s size
-        | None -> Bytes.make size '\000')
+(* Forget a finished team's / thread's arena: a later launch reusing the
+   owner id starts from zeroed memory, and the GC takes the bytes. *)
+let drop arenas owner =
+  Hashtbl.remove arenas.table owner;
+  if owner = arenas.last_owner then begin
+    arenas.last_owner <- no_owner;
+    arenas.last <- no_arena
+  end
 
-let local_of t thread =
-  if thread = t.locals.last_owner then t.locals.last
-  else
-    lookup t.locals thread (fun () ->
-        let size = t.machine.Machine.local_bytes_per_thread in
-        match t.scratch with
-        | Some s -> Scratch.take_local s size
-        | None -> Bytes.make size '\000')
+let drop_shared t team = drop t.shareds team
+let drop_local t thread = drop t.locals thread
 
-let forget arenas =
-  arenas.last_owner <- no_owner;
-  arenas.last <- no_arena
-
-(* Drop a team's / thread's arena; with a scratch attached the bytes go
-   back to the pool (with their dirty extent) for the next launch instead
-   of to the GC. *)
-let drop arenas owner give =
-  match Hashtbl.find_opt arenas.table owner with
-  | None -> ()
-  | Some a ->
-    Hashtbl.remove arenas.table owner;
-    if owner = arenas.last_owner then forget arenas;
-    give a
-
-let release_shared t team =
-  drop t.shareds team (fun a ->
-      Option.iter (fun s -> Scratch.give_shared s a.ab ~dirty:a.ahigh) t.scratch)
-
-let release_local t thread =
-  drop t.locals thread (fun a ->
-      Option.iter (fun s -> Scratch.give_local s a.ab ~dirty:a.ahigh) t.scratch)
-
-(* Hand every arena (including the global one) back to the scratch; the
-   memory must not be used afterwards. *)
-let release t =
-  match t.scratch with
-  | None -> ()
-  | Some s ->
-    Scratch.give_global s t.global
-      ~ranges:
-        [ (0, min t.gdirty_low t.heap_base); (t.heap_base, t.gdirty_heap - t.heap_base) ];
-    Hashtbl.iter (fun _ a -> Scratch.give_shared s a.ab ~dirty:a.ahigh) t.shareds.table;
-    Hashtbl.iter (fun _ a -> Scratch.give_local s a.ab ~dirty:a.ahigh) t.locals.table;
-    Hashtbl.reset t.shareds.table;
-    Hashtbl.reset t.locals.table;
-    forget t.shareds;
-    forget t.locals
-
-(* The bytes backing a pointer for the accessing thread; the offset into
-   them is the pointer's [addr]. *)
+(* The arena backing a pointer for the accessing thread; the offset into
+   its bytes is the pointer's [addr] minus the arena's [base]. *)
 let resolve t ~current (p : ptr) =
   match p.sp with
-  | Sglobal -> t.global
-  | Sshared team -> (shared_of t team).ab
+  | Sglobal -> if p.addr >= t.heap_base then t.heap else t.globals
+  | Sshared team -> owned t.shareds team
   | Slocal owner ->
     if owner <> current then begin
       t.cross_local_accesses <- t.cross_local_accesses + 1;
       (* local memory is thread-addressed: we read our own frame *)
-      (local_of t current).ab
+      owned t.locals current
     end
-    else (local_of t owner).ab
+    else owned t.locals owner
 
-(* Like [resolve], but records the written span's high end. *)
-let resolve_store t ~current (p : ptr) size =
-  match p.sp with
-  | Sglobal ->
-    let hi = p.addr + size in
-    if p.addr < t.heap_base then begin
-      if hi > t.gdirty_low then t.gdirty_low <- hi
-    end
-    else if hi > t.gdirty_heap then t.gdirty_heap <- hi;
-    t.global
-  | Sshared team ->
-    let a = shared_of t team in
-    if p.addr + size > a.ahigh then a.ahigh <- p.addr + size;
+(* Grow [a] by doubling until it holds its first [hi] bytes. *)
+let grow a hi =
+  let rec fit n = if n >= hi then n else fit (2 * n) in
+  let len = min (fit (max initial_bytes (2 * Bytes.length a.ab))) (a.size - a.base) in
+  let b = Bytes.make len '\000' in
+  Bytes.blit a.ab 0 b 0 (Bytes.length a.ab);
+  a.ab <- b
+
+(* [a]'s bytes, allocated at least up to the end of a [size]-byte access
+   at [addr]. *)
+let reach a what addr size =
+  let hi = addr - a.base + size in
+  if addr >= 0 && hi <= Bytes.length a.ab then a.ab
+  else if addr < 0 || addr + size > a.size then
+    error "out-of-bounds %s at offset %d (size %d, arena %d)" what addr size a.size
+  else begin
+    grow a hi;
     a.ab
-  | Slocal owner ->
-    let owner =
-      if owner <> current then begin
-        t.cross_local_accesses <- t.cross_local_accesses + 1;
-        current
-      end
-      else owner
-    in
-    let a = local_of t owner in
-    if p.addr + size > a.ahigh then a.ahigh <- p.addr + size;
-    a.ab
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Typed access                                                        *)
@@ -255,15 +209,9 @@ let decode_ptr v =
   | 2 -> { sp = Slocal (owner - 1); addr }
   | _ -> error "corrupt pointer bits %Lx" v
 
-let check_bounds bytes off size what =
-  if off < 0 || off + size > Bytes.length bytes then
-    error "out-of-bounds %s at offset %d (size %d, arena %d)" what off size
-      (Bytes.length bytes)
-
 let read t ~current (p : ptr) (ty : Ir.Types.t) : Rvalue.t =
-  let bytes = resolve t ~current p and off = p.addr in
-  let size = Ir.Types.size_of ty in
-  check_bounds bytes off size "load";
+  let a = resolve t ~current p in
+  let bytes = reach a "load" p.addr (Ir.Types.size_of ty) and off = p.addr - a.base in
   match ty with
   | Ir.Types.I1 | Ir.Types.I8 ->
     of_int64 (truncate_to ty (Int64.of_int (Char.code (Bytes.get bytes off))))
@@ -276,9 +224,8 @@ let read t ~current (p : ptr) (ty : Ir.Types.t) : Rvalue.t =
     error "load of type %s" (Ir.Types.to_string ty)
 
 let write t ~current (p : ptr) (ty : Ir.Types.t) (v : Rvalue.t) =
-  let size = Ir.Types.size_of ty in
-  let bytes = resolve_store t ~current p size and off = p.addr in
-  check_bounds bytes off size "store";
+  let a = resolve t ~current p in
+  let bytes = reach a "store" p.addr (Ir.Types.size_of ty) and off = p.addr - a.base in
   match ty with
   | Ir.Types.I1 | Ir.Types.I8 ->
     Bytes.set bytes off (Char.chr (Int64.to_int (Int64.logand (as_int v) 0xFFL)))

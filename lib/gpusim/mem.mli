@@ -5,25 +5,33 @@
     local memory is thread-addressed, so dereferencing another thread's
     local pointer silently reads the *current* thread's local memory at the
     same offset — which is exactly how the paper's Figure 3 miscompiles
-    under the legacy SPMD fast path.  Such accesses are counted. *)
+    under the legacy SPMD fast path.  Such accesses are counted.
 
-type arena = { ab : Bytes.t; mutable ahigh : int }
-(** A shared/local arena plus the high end of its written span (the dirty
-    extent handed back to the scratch on release). *)
+    Memory is allocated on first touch: every arena starts empty and grows
+    by doubling, up to the size the machine gives its space, when an access
+    first reaches past its allocated bytes.  Bytes nobody wrote read as
+    zero, and an access outside the space fails naming the machine's full
+    size for it, so the simulated semantics are those of fully allocated
+    arenas.  The global space keeps one address range — module globals
+    from 0, the heap from [heap_base = global_bytes - heap_bytes] — backed
+    by two arenas, one on each side of [heap_base].  An access that starts
+    below [heap_base] and ends above it (only a pointer into the never-used
+    gap between the globals and the heap can make one) is served whole by
+    the globals arena: its bytes at and above [heap_base] do not alias the
+    heap's first bytes. *)
 
-type arenas = {
-  table : (int, arena) Hashtbl.t;
-  mutable last_owner : int;
-  mutable last : arena;
-}
+type arena
+(** One space's bytes, allocated on first touch. *)
+
+type arenas
 (** Arenas by owner, behind a one-entry cache of the last one resolved (so
     the running team's or thread's access does no table lookup). *)
 
 type t = {
   machine : Machine.t;
   injector : Fault.Injector.t;
-  scratch : Scratch.t option;
-  global : Bytes.t;
+  globals : arena;  (** addresses below [heap_base] *)
+  heap : arena;  (** addresses from [heap_base] *)
   shareds : arenas;  (** by team *)
   locals : arenas;  (** by thread *)
   globals_layout : (string, int) Hashtbl.t;
@@ -35,36 +43,29 @@ type t = {
   mutable heap_free : (int * int) list;
   mutable heap_in_use : int;
   mutable heap_high_water : int;
-  mutable gdirty_low : int;
-  mutable gdirty_heap : int;
   mutable cross_local_accesses : int;
   mutable cached_ranges : (int * int) list;
 }
 
 exception Out_of_memory of string
 
-val create : ?injector:Fault.Injector.t -> ?scratch:Scratch.t -> Machine.t -> t
-(** [injector] arms the [Mem_alloc] fault site: [heap_alloc] then fails
-    deterministically at the injected rate.  [scratch] recycles arena bytes
-    across jobs of one pool worker; recycled arenas are zero-filled before
-    reuse, so simulations stay byte-identical to the allocate-per-job
-    path. *)
+val create : ?injector:Fault.Injector.t -> Machine.t -> t
+(** Empty memory for [machine]; nothing is allocated until an access.
+    [injector] arms the [Mem_alloc] fault site: [heap_alloc] then fails
+    deterministically at the injected rate. *)
 
-val release_shared : t -> int -> unit
-(** Drop a team's shared arena (recycled into the scratch when present). *)
+val drop_shared : t -> int -> unit
+(** Forget a finished team's shared arena: a later access through a
+    pointer to it sees a fresh, zeroed arena. *)
 
-val release_local : t -> int -> unit
-(** Drop a thread's local arena (recycled into the scratch when present). *)
-
-val release : t -> unit
-(** Hand every arena back to the scratch; the memory must not be used
-    afterwards.  A no-op without a scratch. *)
+val drop_local : t -> int -> unit
+(** Forget a finished thread's local arena, likewise. *)
 
 val cache_threshold : int
 (** Global arrays up to this size get the read-only-cache latency. *)
 
 val layout_module : t -> Ir.Irmod.t -> unit
-(** Place module globals: global-space globals in one arena, shared-space
+(** Place module globals: global-space globals from address 0, shared-space
     globals (HeapToShared results) at per-team offsets. *)
 
 val is_cached : t -> int -> bool

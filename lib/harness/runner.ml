@@ -71,10 +71,8 @@ let checksum_of_trace sim =
   | [ Gpusim.Rvalue.I v ] -> Some (Int64.to_float v)
   | _ -> None
 
-(* Verify + simulate an already-optimized module.  [scratch] recycles the
-   simulation arenas across the jobs of one pool worker; results are
-   byte-identical to the allocate-per-job path (see gpusim/scratch.ml). *)
-let measure ~machine ~trace ?injector ?scratch ?perf ?(plabel = "") (m : Ir.Irmod.t)
+(* Verify + simulate an already-optimized module. *)
+let measure ~machine ~trace ?injector ?perf ?(plabel = "") (m : Ir.Irmod.t)
     (report : Openmpopt.Pass_manager.report option) : outcome =
   match prof perf ~plabel "verify" (fun () -> Ir.Verify.check m) with
   | Result.Error msg ->
@@ -82,10 +80,9 @@ let measure ~machine ~trace ?injector ?scratch ?perf ?(plabel = "") (m : Ir.Irmo
       (Fault.Ompgpu_error.make Fault.Ompgpu_error.Verify
          ~phase:Fault.Ompgpu_error.Verifying msg)
   | Result.Ok () -> (
-    let sim = Gpusim.Interp.create ?injector ?scratch machine m in
+    let sim = Gpusim.Interp.create ?injector machine m in
     match prof perf ~plabel "simulate" (fun () -> Gpusim.Interp.run_host sim) with
     | exception e ->
-      Gpusim.Interp.release sim;
       Err
         (Errors.classify ~phase:Fault.Ompgpu_error.Simulating e
            (Printexc.get_raw_backtrace ()))
@@ -114,10 +111,7 @@ let measure ~machine ~trace ?injector ?scratch ?perf ?(plabel = "") (m : Ir.Irmo
           report;
           kernel_stats = List.rev stats;
           trace;
-        }
-      |> fun ok ->
-      Gpusim.Interp.release sim;
-      ok)
+        })
 
 (* Machine descriptions are immutable records of scalars, so marshalling is
    a deterministic content fingerprint.  Batches hash the same machine for
@@ -166,7 +160,7 @@ let injector_for ~scale ~attempt (app : Proxyapps.App.t) (config : Config.t) =
          (scale_fingerprint scale) attempt)
 
 let run ?(machine = Gpusim.Machine.bench_machine) ?(scale = Proxyapps.App.Bench)
-    ?(with_trace = false) ?cache ?scratch ?perf ?(attempt = 0)
+    ?(with_trace = false) ?cache ?perf ?(attempt = 0)
     (app : Proxyapps.App.t) (config : Config.t) : measurement =
   let plabel = app.Proxyapps.App.name ^ "/" ^ config.Config.label in
   (* each job owns a fresh trace (and, inside the pass manager, a fresh
@@ -182,7 +176,7 @@ let run ?(machine = Gpusim.Machine.bench_machine) ?(scale = Proxyapps.App.Bench)
     | None -> (
       match compile_for ?trace ~injector ?perf ~plabel config app scale with
       | exception e -> classify ~phase:Fault.Ompgpu_error.Lowering e
-      | m, report -> measure ~machine ~trace ~injector ?scratch ?perf ~plabel m report)
+      | m, report -> measure ~machine ~trace ~injector ?perf ~plabel m report)
     | Some cache -> (
       (* the front end always runs (its text is the cache key); the
          optimize+simulate work — the expensive part — is what a hit skips.
@@ -203,23 +197,13 @@ let run ?(machine = Gpusim.Machine.bench_machine) ?(scale = Proxyapps.App.Bench)
                     pipeline)
             with
             | exception e -> classify ~phase:Fault.Ompgpu_error.Optimizing e
-            | report -> measure ~machine ~trace ~injector ?scratch ?perf ~plabel m report))
+            | report -> measure ~machine ~trace ~injector ?perf ~plabel m report))
   in
   { app = app.Proxyapps.App.name; config; outcome }
 
 let is_transient_outcome = function
   | Err e -> Fault.Ompgpu_error.is_transient e
   | Ok _ -> false
-
-(* One scratch per executing domain (pool workers, and the awaiting caller
-   when the pool has it help run jobs).  Domain-local state is single-owner
-   by construction — no synchronization, and a long-lived domain (the
-   compile daemon's) reuses its arenas across whole batches.  The
-   sequential batch branch below never touches this: it stays the
-   stateless allocate-per-job reference that the differential and
-   conformance suites compare against. *)
-let scratch_key = Domain.DLS.new_key (fun () -> Gpusim.Scratch.create ())
-let domain_scratch () = Domain.DLS.get scratch_key
 
 (* The batch entry point of the scheduler: compile+optimize+simulate every
    (app, config) pair, concurrently when a pool is given.  Results are in
@@ -247,10 +231,7 @@ let run_batch ?machine ?scale ?with_trace ?pool ?cache ?perf ?watchdog_s
     List.map (attempt 0) jobs
   | Some pool ->
     let job ~attempt (app, config) =
-      let scratch = Some (domain_scratch ()) in
-      let m =
-        run ?machine ?scale ?with_trace ?cache ?scratch ?perf ~attempt app config
-      in
+      let m = run ?machine ?scale ?with_trace ?cache ?perf ~attempt app config in
       (* surface transient failures as exceptions so the pool's guard can
          apply its retry policy; terminal failures settle immediately *)
       match m.outcome with

@@ -48,7 +48,6 @@ val run :
   ?scale:Proxyapps.App.scale ->
   ?with_trace:bool ->
   ?cache:outcome Sched.Cache.t ->
-  ?scratch:Gpusim.Scratch.t ->
   ?perf:Observe.Perf.t ->
   ?attempt:int ->
   Proxyapps.App.t ->
@@ -57,11 +56,6 @@ val run :
 (** Defaults: [Gpusim.Machine.bench_machine], [Proxyapps.App.Bench],
     [with_trace:false].  Tracing is off by default so that bechamel
     micro-benchmarks measure the pipeline itself, not the instrumentation.
-
-    [scratch] recycles simulation arenas across the jobs of one owner (a
-    pool worker); simulations stay byte-identical to the allocate-per-job
-    path.  The batch runner threads one scratch per worker automatically —
-    pass this only when driving [run] directly from a single owner.
 
     [perf] attributes each phase (frontend, optimize, verify, simulate)
     to the profile collector under the stack [app/config-label; phase];

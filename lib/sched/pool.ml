@@ -128,11 +128,6 @@ type 'a future = {
 let domain_count t = Array.length t.stripes
 let active_limit t = t.active
 
-(* The index of the pool worker running the current domain, if any; lets a
-   job bind per-worker resources (e.g. a scratch arena) race-free. *)
-let ix_key = Domain.DLS.new_key (fun () -> None)
-let worker_index () = Domain.DLS.get ix_key
-
 let update_max cell v =
   let rec go () =
     let cur = Atomic.get cell in
@@ -200,7 +195,6 @@ let set_worker_gc () =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words }
 
 let worker_loop t i =
-  Domain.DLS.set ix_key (Some i);
   set_worker_gc ();
   let rec run () =
     let e = Atomic.get t.epoch in
@@ -238,7 +232,6 @@ let worker_loop t i =
    available is dropped — the next watchdog poll retries, so liveness is
    kept by the 5ms poll cadence. *)
 let reserve_loop t i =
-  Domain.DLS.set ix_key (Some i);
   set_worker_gc ();
   let rec park () =
     Mutex.lock t.gate;

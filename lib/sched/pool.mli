@@ -52,11 +52,6 @@ val domain_count : t -> int
 val active_limit : t -> int
 (** The number of eagerly running workers (see [create]'s [active]). *)
 
-val worker_index : unit -> int option
-(** The pool-worker index of the calling domain ([Some i] inside a job,
-    [None] elsewhere).  Lets a job bind per-worker resources — e.g. the
-    batch runner's scratch arenas — without synchronization. *)
-
 val submit : t -> (unit -> 'a) -> 'a future
 (** Enqueue a job.  Blocks while the queue is at capacity.  Raises
     [Invalid_argument] if the pool has been shut down. *)

@@ -2,7 +2,7 @@
 
 module H = Support.Hash64
 
-let default_vnodes = 64
+let vnodes = 64
 
 type t = {
   shards : string array;  (* sorted names; points reference indices here *)
@@ -22,7 +22,7 @@ let mix h =
 
 let hash_of s = mix (H.add_string H.empty s :> int)
 
-let create ?(vnodes = default_vnodes) names =
+let create names =
   if names = [] then invalid_arg "Ring.create: no shards";
   let shards = Array.of_list (List.sort_uniq compare names) in
   if Array.length shards <> List.length names then

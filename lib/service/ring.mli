@@ -14,14 +14,14 @@
 
 type t
 
-val create : ?vnodes:int -> string list -> t
+val create : string list -> t
 (** Build a ring over the given shard names (order-insensitive: the ring
-    depends only on the set of names).  Each shard owns [vnodes] points
-    (default {!default_vnodes}) placed by hashing ["name#i"], so load
-    spreads evenly even with few shards.  Raises [Invalid_argument] on an
-    empty or duplicate-bearing name list. *)
+    depends only on the set of names).  Each shard owns {!vnodes} points
+    placed by hashing ["name#i"], so load spreads evenly even with few
+    shards.  Raises [Invalid_argument] on an empty or duplicate-bearing
+    name list. *)
 
-val default_vnodes : int
+val vnodes : int
 (** 64 — small enough to walk cheaply, even enough for single-digit
     fleets. *)
 

@@ -157,33 +157,32 @@ type config = {
   socket_path : string;
   capacity : int;
   queue_deadline_s : float;
-  relay_deadline_s : float;
   probe_interval_s : float;
-  probe_deadline_s : float;
-  degraded_after : int;
-  down_after : int;
   max_respawns : int;
-  respawn_window_s : float;
   eject_cooldown_s : float;
-  vnodes : int;
   injector : Fault.Injector.t;
   log : string -> unit;
 }
+
+(* Per-request socket deadline to a shard. *)
+let relay_deadline_s = 30.0
+let probe_deadline_s = 1.0
+
+(* Consecutive probe failures that make a shard [degraded], then [down]. *)
+let degraded_after = 1
+let down_after = 2
+
+(* The sliding window [max_respawns] counts respawns in. *)
+let respawn_window_s = 10.0
 
 let default_config =
   {
     socket_path = "./mompd-router.sock";
     capacity = 16;
     queue_deadline_s = 0.25;
-    relay_deadline_s = 30.0;
     probe_interval_s = 0.2;
-    probe_deadline_s = 1.0;
-    degraded_after = 1;
-    down_after = 2;
     max_respawns = 3;
-    respawn_window_s = 10.0;
     eject_cooldown_s = 2.0;
-    vnodes = Ring.default_vnodes;
     injector = Fault.Injector.none;
     log = ignore;
   }
@@ -235,8 +234,8 @@ let locked t f =
 
 let create cfg backends =
   if backends = [] then invalid_arg "Router.create: no shards";
-  let cfg = { cfg with capacity = max 1 cfg.capacity; vnodes = max 1 cfg.vnodes } in
-  let ring = Ring.create ~vnodes:cfg.vnodes (List.map (fun b -> b.name) backends) in
+  let cfg = { cfg with capacity = max 1 cfg.capacity } in
+  let ring = Ring.create (List.map (fun b -> b.name) backends) in
   let shards =
     Array.map
       (fun name ->
@@ -302,8 +301,7 @@ let probe_once t shard =
   in
   (not injected)
   && Result.is_ok
-       (with_shard ~deadline_s:t.cfg.probe_deadline_s shard (fun c ->
-            Client.health c ()))
+       (with_shard ~deadline_s:probe_deadline_s shard (fun c -> Client.health c ()))
 
 let transition t shard next =
   if shard.state <> next then begin
@@ -325,8 +323,8 @@ let probe_shard t shard =
         shard.probes_fail <- shard.probes_fail + 1;
         shard.consec_fail <- shard.consec_fail + 1;
         if shard.state <> Ejected then
-          if shard.consec_fail >= t.cfg.down_after then transition t shard Down
-          else if shard.consec_fail >= t.cfg.degraded_after then
+          if shard.consec_fail >= down_after then transition t shard Down
+          else if shard.consec_fail >= degraded_after then
             transition t shard Degraded
       end)
 
@@ -366,7 +364,7 @@ let monitor_shard t shard =
     if not (shard.backend.alive ()) then begin
       let recent =
         List.filter
-          (fun ts -> ts > now -. t.cfg.respawn_window_s)
+          (fun ts -> ts > now -. respawn_window_s)
           shard.respawn_times
       in
       if List.length recent >= t.cfg.max_respawns then begin
@@ -375,7 +373,7 @@ let monitor_shard t shard =
             transition t shard Ejected);
         t.cfg.log
           (Printf.sprintf "shard %s: crash-looping (%d respawns in %gs), ejected for %gs"
-             shard.backend.name (List.length recent) t.cfg.respawn_window_s
+             shard.backend.name (List.length recent) respawn_window_s
              t.cfg.eject_cooldown_s)
       end
       else begin
@@ -429,8 +427,8 @@ let candidates t key =
 
 (* One request relayed to one shard over a fresh connection: the client's
    original line out, the shard's response line back, both verbatim. *)
-let relay_once t shard line =
-  with_shard ~deadline_s:t.cfg.relay_deadline_s shard (fun c ->
+let relay_once shard line =
+  with_shard ~deadline_s:relay_deadline_s shard (fun c ->
       Client.roundtrip_line c line)
 
 (* A shard answering "shed" (a settled Overload, exit 40) is healthy but
@@ -468,10 +466,9 @@ let shard_counts t =
           | Ejected -> (up, degraded, down, ejected + 1))
         (0, 0, 0, 0) t.shards)
 
-let shard_stats_live t shard =
+let shard_stats_live shard =
   Result.to_option
-    (with_shard ~deadline_s:t.cfg.probe_deadline_s shard (fun c ->
-         Client.stats c ()))
+    (with_shard ~deadline_s:probe_deadline_s shard (fun c -> Client.stats c ()))
 
 (* Roll up the shards' [storage] sections (Server.storage_json) into one
    fleet-wide view: reachable, non-ejected shards' cache/disk/journal
@@ -496,7 +493,7 @@ let storage_rollup t =
   Array.iter
     (fun s ->
       if locked t (fun () -> s.state) <> Ejected then
-        match Option.bind (shard_stats_live t s) (J.member "storage") with
+        match Option.bind (shard_stats_live s) (J.member "storage") with
         | None -> ()
         | Some st ->
           incr reporting;
@@ -619,7 +616,7 @@ let fleet_json t =
                ("failovers_from", J.Int failovers_from);
                ( "stats",
                  match
-                   if state = Ejected then None else shard_stats_live t s
+                   if state = Ejected then None else shard_stats_live s
                  with
                  | Some doc -> doc
                  | None -> J.Null );
@@ -635,7 +632,7 @@ let fleet_json t =
          ( "ring",
            J.Obj
              [
-               ("vnodes", J.Int t.cfg.vnodes);
+               ("vnodes", J.Int Ring.vnodes);
                ( "shards",
                  J.List
                    (Array.to_list
@@ -696,7 +693,7 @@ let handle_compile t ~raw ~id ~file ~source ~config ~tenant =
               settled (Ompgpu_api.compile_buffered ~config ~file source)
             | i :: rest -> (
               let shard = t.shards.(i) in
-              match relay_once t shard raw with
+              match relay_once shard raw with
               | Ok resp when not (is_shed_line resp) ->
                 locked t (fun () -> t.counters.routed <- t.counters.routed + 1);
                 Endpoint.Relay resp

@@ -99,15 +99,9 @@ type config = {
   socket_path : string;  (** the router's own listening socket *)
   capacity : int;  (** fleet-wide admitted-compile bound *)
   queue_deadline_s : float;  (** max fair-queue wait before shedding *)
-  relay_deadline_s : float;  (** per-request socket deadline to a shard *)
   probe_interval_s : float;
-  probe_deadline_s : float;
-  degraded_after : int;  (** consecutive probe failures → [degraded] *)
-  down_after : int;  (** consecutive probe failures → [down] *)
-  max_respawns : int;  (** respawns tolerated per window before ejection *)
-  respawn_window_s : float;
+  max_respawns : int;  (** respawns tolerated per 10s window before ejection *)
   eject_cooldown_s : float;
-  vnodes : int;  (** ring points per shard *)
   injector : Fault.Injector.t;
       (** arms [shard-down], [probe-timeout] and [ring-skew]; the
           server's sites never fire at the router *)
@@ -115,10 +109,11 @@ type config = {
 }
 
 val default_config : config
-(** [./mompd-router.sock]; capacity 16; 250ms queue deadline; 30s relay
-    deadline; probes every 200ms with a 1s deadline, degraded after 1
-    failure, down after 2; 3 respawns per 10s window, 2s ejection
-    cooldown; {!Ring.default_vnodes}; no faults; silent log. *)
+(** [./mompd-router.sock]; capacity 16; 250ms queue deadline; probes
+    every 200ms; 3 respawns per window, 2s ejection cooldown; no faults;
+    silent log.  Fixed for every router: a 30s relay deadline, a 1s probe
+    deadline, [degraded] after 1 failed probe and [down] after 2, a 10s
+    respawn window, and {!Ring.vnodes} ring points per shard. *)
 
 type t
 

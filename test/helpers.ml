@@ -103,23 +103,16 @@ let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest ?rand (QCheck.Test.make ~count ~name gen prop)
 
 (* ------------------------------------------------------------------ *)
-(* Service tests: sockets, scratch files, compiled-bytes comparison    *)
+(* Service tests: sockets, temp files, compiled-bytes comparison      *)
 (* ------------------------------------------------------------------ *)
 
-(* Unix-socket paths are length-limited (~108 bytes): keep them short and
-   in the system temp dir, never under _build. *)
-let fresh_socket =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mompd-t%d-%d.sock" (Unix.getpid ()) !n)
-
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  Sys.mkdir path 0o755;
-  path
+(* [f path] with [path] a socket in a fresh directory under the system
+   temp dir, removed with everything in it afterwards.  Unix-socket paths
+   are length-limited (~108 bytes): keep them short, never under _build.
+   Every test directory comes from [Replay.with_temp_dir] likewise, so a
+   test run leaves nothing in $TMPDIR. *)
+let with_socket f =
+  Replay.with_temp_dir "mompd-t" (fun dir -> f (Filename.concat dir "mompd.sock"))
 
 let write_file path contents =
   Out_channel.with_open_text path (fun oc ->

@@ -420,15 +420,8 @@ let test_pool_containment () =
 (* Disk-cache integrity                                                *)
 (* ------------------------------------------------------------------ *)
 
-let with_tmp_dir f =
-  let dir = Filename.temp_file "fault-cache" "" in
-  Sys.remove dir;
-  Fun.protect
-    ~finally:(fun () -> ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
-    (fun () -> f dir)
-
 let test_cache_corruption_quarantined () =
-  with_tmp_dir (fun dir ->
+  Replay.with_temp_dir "fault-cache" (fun dir ->
       let reported = ref [] in
       let injector = Inj.create [ { Inj.site = Inj.Cache_corrupt; rate = 1.0; seed = 0 } ] in
       let cache =
@@ -456,7 +449,7 @@ let test_cache_corruption_quarantined () =
 let test_cache_external_corruption () =
   (* corruption from outside the process (torn write, disk fault) is caught
      by the same digest check *)
-  with_tmp_dir (fun dir ->
+  Replay.with_temp_dir "fault-cache" (fun dir ->
       let cache = Sched.Disk_cache.create ~dir () in
       Sched.Disk_cache.store cache ~key:"k2" ~data:"0123456789";
       let path = Filename.concat dir "k2" in

@@ -23,28 +23,18 @@ open Helpers
    must surface as an error, not a process-killing SIGPIPE. *)
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let path =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "mompfl-%d-%d" (Unix.getpid ()) !n)
-    in
-    Unix.mkdir path 0o755;
-    path
-
 let config = A.Config.(default |> with_pipeline A.Pipeline.full |> with_sim)
 
 let source =
   (Proxyapps.Apps.find_exn "xsbench").Proxyapps.App.omp_source Proxyapps.App.Tiny
 
-(* A fleet of in-process supervised shards behind a router, torn down even
-   when the body raises.  [injector] arms router-level sites only. *)
+(* A fleet of in-process supervised shards behind a router, in a fresh
+   directory, torn down and removed even when the body raises.  [injector]
+   arms router-level sites only. *)
 let with_fleet ?(shards = 2) ?(injector = Fault.Injector.none)
     ?(shard_injector = Fault.Injector.none)
     ?(router_cfg = fun (c : Router.config) -> c) f =
-  let dir = fresh_dir () in
+  Replay.with_temp_dir "mompfl" @@ fun dir ->
   let backends =
     List.init shards (fun i ->
         let name = Printf.sprintf "shard-%d" i in
@@ -88,10 +78,12 @@ let with_fleet ?(shards = 2) ?(injector = Fault.Injector.none)
     (try finish () with _ -> ());
     raise e
 
-(* A lone in-process daemon on a fresh socket, stopped even when the body
-   raises. *)
-let with_daemon ?cache_dir f =
-  let socket_path = Filename.concat (fresh_dir ()) "lone.sock" in
+(* A lone in-process daemon (with a disk cache when [cached]) in a fresh
+   directory, stopped and removed even when the body raises. *)
+let with_daemon ?(cached = false) f =
+  Replay.with_temp_dir "mompfl" @@ fun dir ->
+  let socket_path = Filename.concat dir "lone.sock" in
+  let cache_dir = if cached then Some (Filename.concat dir "cache") else None in
   let server =
     Service.Server.create
       { Service.Server.default_config with Service.Server.socket_path; cache_dir }
@@ -306,7 +298,7 @@ let test_admission_starved_tenant_progresses () =
 (* ------------------------------------------------------------------ *)
 
 let test_crash_loop_ejection_and_cooldown () =
-  let dir = fresh_dir () in
+  Replay.with_temp_dir "mompfl" @@ fun dir ->
   let starts = ref 0 in
   (* a shard that dies the instant it is started: every monitor poll sees
      a corpse, every respawn burns one token of the window *)
@@ -342,7 +334,6 @@ let test_crash_loop_ejection_and_cooldown () =
         capacity = 8;
         probe_interval_s = 0.02;
         max_respawns = 2;
-        respawn_window_s = 10.0;
         eject_cooldown_s = 0.3;
       }
       [ flaky; healthy ]
@@ -445,7 +436,7 @@ let test_documents_shape () =
 let test_single_daemon_rejects_fleet_op () =
   (* a lone mompd is not a router: the fleet op gets a structured
      bad-request, not a hang or a crash *)
-  let dir = fresh_dir () in
+  Replay.with_temp_dir "mompfl" @@ fun dir ->
   let socket_path = Filename.concat dir "lone.sock" in
   let server =
     Service.Server.create
@@ -504,8 +495,7 @@ let documents_golden () =
 
 let test_documents_golden () =
   let daemon =
-    with_daemon ~cache_dir:(Filename.concat (fresh_dir ()) "cache")
-      (fun socket_path ->
+    with_daemon ~cached:true (fun socket_path ->
         Service.Client.with_connection ~socket_path (fun c ->
             [
               ("daemon stats", ok_exn (Service.Client.stats c ()));

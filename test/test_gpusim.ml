@@ -379,6 +379,96 @@ let qcheck_encode =
         (fun p -> Gpusim.Mem.decode_ptr (Gpusim.Mem.encode_ptr p) = p)
         [ { sp = Sglobal; addr }; { sp = Sshared owner; addr }; { sp = Slocal owner; addr } ])
 
+(* The simulated-memory contract, seen only through [Mem.create], [read],
+   [write] and [heap_alloc] on the bench machine: in-range bytes nobody
+   wrote read zero (in every space, at both ends of every arena and in the
+   gap between the module globals and the heap), a heap block keeps what is
+   written to it, a cross-thread local access uses the accessing thread's
+   own frame and is counted, and an out-of-bounds access fails naming the
+   machine's full arena size. *)
+let test_memory_semantics () =
+  let open Gpusim.Rvalue in
+  let machine = Gpusim.Machine.bench_machine in
+  let mem = Gpusim.Mem.create machine in
+  let global_bytes = machine.Gpusim.Machine.global_bytes in
+  let heap_base = global_bytes - machine.Gpusim.Machine.heap_bytes in
+  let shared_bytes = machine.Gpusim.Machine.shared_bytes_per_team in
+  let local_bytes = machine.Gpusim.Machine.local_bytes_per_thread in
+  let read ?(current = 0) sp addr =
+    match Gpusim.Mem.read mem ~current { sp; addr } Ir.Types.I64 with
+    | I v -> v
+    | v -> Alcotest.failf "i64 load returned %a" pp v
+  in
+  let write ?(current = 0) sp addr v =
+    Gpusim.Mem.write mem ~current { sp; addr } Ir.Types.I64 (I v)
+  in
+  let zero what sp addr = Alcotest.(check int64) what 0L (read sp addr) in
+  zero "global 0" Sglobal 0;
+  zero "gap below the heap" Sglobal (heap_base - 8);
+  zero "last global word" Sglobal (global_bytes - 8);
+  zero "last shared word" (Sshared 3) (shared_bytes - 8);
+  zero "last local word" (Slocal 5) (local_bytes - 8);
+  (* bytes written near an arena's start survive a touch of its end *)
+  write (Sshared 4) 8 11L;
+  zero "shared after a low write" (Sshared 4) (shared_bytes - 8);
+  Alcotest.(check int64) "shared low write kept" 11L (read (Sshared 4) 8);
+  let blk, granted = Gpusim.Mem.heap_alloc mem 24 in
+  Alcotest.(check int) "granted size" 24 granted;
+  write blk.sp blk.addr 7L;
+  write blk.sp (blk.addr + 16) (-3L);
+  Alcotest.(check int64) "heap word 0" 7L (read blk.sp blk.addr);
+  Alcotest.(check int64) "heap word 2" (-3L) (read blk.sp (blk.addr + 16));
+  Alcotest.(check int64) "heap word 1 untouched" 0L (read blk.sp (blk.addr + 8));
+  (* thread 6 dereferencing thread 5's local pointer reaches its own frame *)
+  write ~current:5 (Slocal 5) 16 0x1111L;
+  write ~current:6 (Slocal 6) 16 0x2222L;
+  let cross () = mem.Gpusim.Mem.cross_local_accesses in
+  let before = cross () in
+  Alcotest.(check int64) "cross-thread load reads the reader's frame" 0x2222L
+    (read ~current:6 (Slocal 5) 16);
+  Alcotest.(check int) "cross-thread load counted" (before + 1) (cross ());
+  write ~current:6 (Slocal 5) 24 0x3333L;
+  Alcotest.(check int) "cross-thread store counted" (before + 2) (cross ());
+  Alcotest.(check int64) "cross-thread store wrote the writer's frame" 0x3333L
+    (read ~current:6 (Slocal 6) 24);
+  Alcotest.(check int64) "owner's frame untouched" 0L (read ~current:5 (Slocal 5) 24);
+  Alcotest.(check int64) "owner's word kept" 0x1111L (read ~current:5 (Slocal 5) 16);
+  let fails what expected f =
+    match f () with
+    | exception Sim_error msg -> Alcotest.(check string) what expected msg
+    | _ -> Alcotest.failf "%s: access succeeded" what
+  in
+  let load sp addr () = ignore (read sp addr) and store sp addr () = write sp addr 1L in
+  List.iter
+    (fun (what, access, expected) -> fails what expected access)
+    [
+      ("global load", load Sglobal (global_bytes - 4), "out-of-bounds load at offset 16777212 (size 8, arena 16777216)");
+      ("global store", store Sglobal (global_bytes - 4), "out-of-bounds store at offset 16777212 (size 8, arena 16777216)");
+      ("negative global load", load Sglobal (-8), "out-of-bounds load at offset -8 (size 8, arena 16777216)");
+      ("shared load", load (Sshared 3) (shared_bytes - 4), "out-of-bounds load at offset 49148 (size 8, arena 49152)");
+      ("shared store", store (Sshared 3) (shared_bytes - 4), "out-of-bounds store at offset 49148 (size 8, arena 49152)");
+      ("local load", load (Slocal 5) (local_bytes - 4), "out-of-bounds load at offset 65532 (size 8, arena 65536)");
+      ("local store", store (Slocal 5) (local_bytes - 4), "out-of-bounds store at offset 65532 (size 8, arena 65536)");
+    ]
+
+(* Simulated memory is paid for as it is used: a small corpus program run
+   on the bench machine (16 MB of global memory, 48 KB of shared memory per
+   team, 64 KB of local memory per thread) allocates well under 1 MB of
+   major heap between [Interp.create] and the end of [run_host]. *)
+let test_memory_follows_use () =
+  let prog = Corpus.Gen.generate (Corpus.Gen.program_stream ~root:42L 0) in
+  let m =
+    Frontend.Codegen.compile ~scheme:Frontend.Codegen.Simplified ~file:"corpus.c"
+      (Corpus.Gen.render ~mode:Corpus.Gen.Generic prog)
+  in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let sim = Gpusim.Interp.create Gpusim.Machine.bench_machine m in
+  Gpusim.Interp.run_host sim;
+  let mb = ((Gc.quick_stat ()).Gc.major_words -. before) *. 8. /. 1e6 in
+  Printf.printf "major heap allocated: %.2f MB\n" mb;
+  if mb >= 1.0 then
+    Alcotest.failf "create + run_host allocated %.2f MB of major heap (budget 1 MB)" mb
+
 (* Allocation budget of the simulator.  Minor words allocated by [run_host]
    per simulated kernel instruction are deterministic for a build, so they
    gate what wall time cannot: a per-instruction closure, a lookup tuple or
@@ -435,5 +525,7 @@ let suite =
     Alcotest.test_case "typed memory" `Quick test_typed_memory_roundtrip;
     Alcotest.test_case "f32 rounding" `Quick test_f32_rounding;
     Alcotest.test_case "bounds checking" `Quick test_out_of_bounds_trapped;
+    Alcotest.test_case "memory semantics" `Quick test_memory_semantics;
+    Alcotest.test_case "memory follows use" `Quick test_memory_follows_use;
     qcheck_encode;
   ]

@@ -45,7 +45,7 @@ let server_config ?(domains = 2) ?(capacity = 8) ?watchdog_s ?cache_dir
 (* ------------------------------------------------------------------ *)
 
 let test_disk_cache_temp_sweep () =
-  let dir = temp_dir "sweep" in
+  Replay.with_temp_dir "sweep" @@ fun dir ->
   (* a crash between temp-write and rename orphans files like these *)
   let stale = Filename.concat dir "sched-cache-stale1.tmp" in
   let fresh = Filename.concat dir "sched-cache-fresh2.tmp" in
@@ -80,7 +80,7 @@ let test_disk_cache_temp_sweep () =
 (* ------------------------------------------------------------------ *)
 
 let test_journal_recovery_scan () =
-  let dir = temp_dir "journal" in
+  Replay.with_temp_dir "journal" @@ fun dir ->
   let path = Filename.concat dir "journal.ndjson" in
   write_file path
     (String.concat "\n"
@@ -162,7 +162,7 @@ let test_protocol_hostile_frames () =
    on the same connection; a torn frame (EOF mid-line) gets answered
    best-effort; and the daemon serves clean clients afterwards. *)
 let test_daemon_survives_hostile_peer () =
-  let socket_path = fresh_socket () in
+  with_socket @@ fun socket_path ->
   let server = Service.Server.create (server_config socket_path) in
   let thread = Thread.create Service.Server.serve_forever server in
   Fun.protect
@@ -219,7 +219,7 @@ let fast_policy =
 (* A server that accepts and reads but never answers: the client's
    per-request deadline must turn it into a bounded, transient failure. *)
 let test_client_deadline () =
-  let socket_path = fresh_socket () in
+  with_socket @@ fun socket_path ->
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);
   Unix.listen listen_fd 8;
@@ -281,7 +281,7 @@ let test_client_deadline () =
    retries (reconnecting each time) until the budget is exhausted, then
    reports the transient error for the caller's fallback. *)
 let test_client_retry_budget_exhaustion () =
-  let socket_path = fresh_socket () in
+  with_socket @@ fun socket_path ->
   let injector = Fault.Injector.create
       [ { Fault.Injector.site = Fault.Injector.Conn_drop; rate = 1.0; seed = 1 } ]
   in
@@ -307,7 +307,7 @@ let test_client_retry_budget_exhaustion () =
    client reconnects and retries, and every compile still settles with
    exactly the one-shot bytes. *)
 let test_client_reconnect_byte_identical () =
-  let socket_path = fresh_socket () in
+  with_socket @@ fun socket_path ->
   let injector = Fault.Injector.create
       [ { Fault.Injector.site = Fault.Injector.Conn_drop; rate = 0.5; seed = 11 } ]
   in
@@ -358,8 +358,8 @@ let supervisor_config ?(max_restarts = 50) ?(window_s = 30.) server =
    the supervisor restarts them on the same bound socket and every
    compile still settles byte-identically. *)
 let test_supervisor_restarts_transparently () =
-  let socket_path = fresh_socket () in
-  let state_dir = temp_dir "sup-state" in
+  with_socket @@ fun socket_path ->
+  Replay.with_temp_dir "sup-state" @@ fun state_dir ->
   (* seed 6's deterministic coin sequence (TFFTFFFT...) crashes the serve
      loop on some accepts but never twice in a row, so the client's
      4-attempt budget always wins; a fresh session per compile forces a
@@ -405,7 +405,7 @@ let test_supervisor_restarts_transparently () =
     (contains journal {|"ev":"restart"|})
 
 let test_supervisor_breaker_opens () =
-  let socket_path = fresh_socket () in
+  with_socket @@ fun socket_path ->
   let injector = Fault.Injector.create
       [ { Fault.Injector.site = Fault.Injector.Daemon_kill; rate = 1.0; seed = 5 } ]
   in
@@ -494,8 +494,8 @@ let waitpid_timeout pid ~seconds =
   go ()
 
 let test_sigterm_graceful_drain () =
-  let socket_path = fresh_socket () in
-  let state_dir = temp_dir "drain-state" in
+  with_socket @@ fun socket_path ->
+  Replay.with_temp_dir "drain-state" @@ fun state_dir ->
   let err_log = Filename.temp_file "mompd" ".err" in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let err_fd =
@@ -598,42 +598,33 @@ let run_command cmd =
   (code, out, err)
 
 let test_daemonless_fallback_byte_identical () =
-  let path = Filename.temp_file "rsl" ".momp.c" in
+  Replay.with_temp_dir "rsl" @@ fun dir ->
+  let path = Filename.concat dir "rsl.momp.c" in
   write_file path (app_source "rsbench");
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let flags = Printf.sprintf "-O --run %s" (Filename.quote path) in
-      let code1, out1, err1 =
-        run_command (Printf.sprintf "%s %s" mompc_exe flags)
-      in
-      (* no socket file at all: immediate in-process fallback *)
-      let missing = fresh_socket () in
-      let code2, out2, err2 =
-        run_command
-          (Printf.sprintf "%s %s --daemon %s" mompc_exe flags
-             (Filename.quote missing))
-      in
-      Alcotest.(check int) "exit code (missing socket)" code1 code2;
-      Alcotest.(check string) "stdout bytes (missing socket)" out1 out2;
-      Alcotest.(check string) "stderr bytes (missing socket)" err1 err2;
-      (* a stale socket file nobody listens on: bounded retries, then the
-         same fallback *)
-      let stale = fresh_socket () in
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX stale);
-      Unix.close fd;
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove stale with Sys_error _ -> ())
-        (fun () ->
-          let code3, out3, err3 =
-            run_command
-              (Printf.sprintf "%s %s --daemon %s" mompc_exe flags
-                 (Filename.quote stale))
-          in
-          Alcotest.(check int) "exit code (stale socket)" code1 code3;
-          Alcotest.(check string) "stdout bytes (stale socket)" out1 out3;
-          Alcotest.(check string) "stderr bytes (stale socket)" err1 err3))
+  let flags = Printf.sprintf "-O --run %s" (Filename.quote path) in
+  let code1, out1, err1 = run_command (Printf.sprintf "%s %s" mompc_exe flags) in
+  (* no socket file at all: immediate in-process fallback *)
+  let missing = Filename.concat dir "missing.sock" in
+  let code2, out2, err2 =
+    run_command
+      (Printf.sprintf "%s %s --daemon %s" mompc_exe flags (Filename.quote missing))
+  in
+  Alcotest.(check int) "exit code (missing socket)" code1 code2;
+  Alcotest.(check string) "stdout bytes (missing socket)" out1 out2;
+  Alcotest.(check string) "stderr bytes (missing socket)" err1 err2;
+  (* a stale socket file nobody listens on: bounded retries, then the
+     same fallback *)
+  let stale = Filename.concat dir "stale.sock" in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX stale);
+  Unix.close fd;
+  let code3, out3, err3 =
+    run_command
+      (Printf.sprintf "%s %s --daemon %s" mompc_exe flags (Filename.quote stale))
+  in
+  Alcotest.(check int) "exit code (stale socket)" code1 code3;
+  Alcotest.(check string) "stdout bytes (stale socket)" out1 out3;
+  Alcotest.(check string) "stderr bytes (stale socket)" err1 err3
 
 let suite =
   [

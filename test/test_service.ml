@@ -24,7 +24,7 @@ let all_app_names =
 let with_server ?(domains = 2) ?(capacity = 8) ?watchdog_s ?cache_dir ?state_dir
     ?(injector = Fault.Injector.none) ?(drain_deadline_s = 5.0)
     ?(tiered = false) ?cache_max_entries ?cache_max_bytes ?journal_max_bytes f =
-  let socket_path = fresh_socket () in
+  with_socket @@ fun socket_path ->
   let server =
     Service.Server.create
       {

@@ -23,7 +23,7 @@ let app_source name = (Proxyapps.Apps.find_exn name).Proxyapps.App.omp_source ti
 let with_server ?(domains = 2) ?(capacity = 8) ?cache_dir ?state_dir
     ?(injector = Fault.Injector.none) ?(tiered = false) ?cache_max_entries
     ?cache_max_bytes ?journal_max_bytes f =
-  let socket_path = fresh_socket () in
+  with_socket @@ fun socket_path ->
   let server =
     Service.Server.create
       {
@@ -144,7 +144,7 @@ let test_cache_replace_reinserts_after_eviction () =
 (* ------------------------------------------------------------------ *)
 
 let test_disk_scrub_quarantines_and_ledgers () =
-  let dir = temp_dir "scrub" in
+  Replay.with_temp_dir "scrub" @@ fun dir ->
   let c1 = Sched.Disk_cache.create ~dir () in
   Sched.Disk_cache.store c1 ~key:"good1" ~data:"payload one";
   Sched.Disk_cache.store c1 ~key:"good2" ~data:"payload two";
@@ -187,7 +187,7 @@ let test_disk_scrub_quarantines_and_ledgers () =
     (Sched.Disk_cache.find c2 ~key:"bad")
 
 let test_disk_quota_evicts_oldest () =
-  let dir = temp_dir "quota" in
+  Replay.with_temp_dir "quota" @@ fun dir ->
   (* one encoded entry = 47-byte header + payload; 100-byte payloads and
      a 320-byte quota fit two entries, never three *)
   let payload n = String.make 100 (Char.chr (Char.code 'a' + n)) in
@@ -213,7 +213,7 @@ let test_disk_quota_evicts_oldest () =
   Alcotest.(check bool) "shrunken byte quota holds" true
     (Sched.Disk_cache.bytes c2 <= 150);
   (* entry-count cap, same mechanism *)
-  let dir2 = temp_dir "quota-n" in
+  Replay.with_temp_dir "quota-n" @@ fun dir2 ->
   let c3 = Sched.Disk_cache.create ~max_entries:2 ~dir:dir2 () in
   List.iter
     (fun k -> Sched.Disk_cache.store c3 ~key:k ~data:"x")
@@ -222,7 +222,7 @@ let test_disk_quota_evicts_oldest () =
   Alcotest.(check int) "entry-cap evictions" 2 (Sched.Disk_cache.evictions c3)
 
 let test_disk_full_injected_breaker () =
-  let dir = temp_dir "enospc" in
+  Replay.with_temp_dir "enospc" @@ fun dir ->
   let c =
     Sched.Disk_cache.create ~injector:(inject "disk-full:1.0")
       ~failure_threshold:2 ~dir ()
@@ -246,11 +246,12 @@ let test_disk_breaker_recovers () =
   (* real (non-injected) failures: the cache directory vanishes out from
      under the store — ENOENT-shaped, same never-raise contract — then
      comes back, and the post-cooldown probe store re-enables writes *)
-  let dir = temp_dir "recover" in
+  Replay.with_temp_dir "recover" @@ fun root ->
+  let dir = Filename.concat root "cache" in
   let c =
     Sched.Disk_cache.create ~failure_threshold:2 ~reprobe_after_s:0.05 ~dir ()
   in
-  let hidden = dir ^ ".hidden" in
+  let hidden = Filename.concat root "hidden" in
   Sys.rename dir hidden;
   Sched.Disk_cache.store c ~key:"k1" ~data:"x";
   Sched.Disk_cache.store c ~key:"k2" ~data:"x";
@@ -292,7 +293,7 @@ let test_hitcount_decay_on_overflow () =
     (Observe.Hitcount.count h "hot" > 1)
 
 let test_hitcount_profile_roundtrip () =
-  let dir = temp_dir "profile" in
+  Replay.with_temp_dir "profile" @@ fun dir ->
   let path = Filename.concat dir "hotness.json" in
   let h = Observe.Hitcount.create () in
   List.iter
@@ -333,7 +334,7 @@ let test_hitcount_profile_roundtrip () =
 (* ------------------------------------------------------------------ *)
 
 let test_journal_midlife_rotation () =
-  let dir = temp_dir "rotate" in
+  Replay.with_temp_dir "rotate" @@ fun dir ->
   let rotations_seen = ref 0 in
   let j, recovery =
     Service.Journal.open_ ~max_bytes:512
@@ -366,7 +367,7 @@ let test_journal_midlife_rotation () =
    failures, byte-identical answers — and the stats surface the tripped
    breaker. *)
 let test_daemon_disk_full_invisible () =
-  let cache_dir = temp_dir "dfull" in
+  Replay.with_temp_dir "dfull" @@ fun cache_dir ->
   let config = A.Config.default in
   let apps =
     List.filteri
@@ -467,7 +468,7 @@ let test_daemon_upgrade_survives_eviction () =
    knowing its hot keys: the drain checkpoints the hotness profile and
    the next create restores it. *)
 let test_daemon_profile_restart_roundtrip () =
-  let state_dir = temp_dir "hotprof" in
+  Replay.with_temp_dir "hotprof" @@ fun state_dir ->
   let config = A.Config.(default |> with_pipeline A.Pipeline.full) in
   let app = "xsbench" in
   with_server ~tiered:true ~state_dir (fun socket_path ->
@@ -488,7 +489,7 @@ let test_daemon_profile_restart_roundtrip () =
         | Some n -> n > 0
         | None -> false));
   (* an untiered daemon neither writes nor reads the profile *)
-  let cold_dir = temp_dir "coldprof" in
+  Replay.with_temp_dir "coldprof" @@ fun cold_dir ->
   with_server ~state_dir:cold_dir (fun socket_path ->
       Service.Client.with_connection ~socket_path @@ fun c ->
       let r =

@@ -9,9 +9,8 @@
    then once more in parallel with the phase profiler attached, and writes:
 
      OUTDIR/perf.json      schema-stamped: sched section (speedup, pool
-                           counters), per-phase totals, arena-recycling
-                           stats — what the CI perf job gates with
-                           `bench_gate --perf`
+                           counters) and per-phase totals — what the CI
+                           perf job gates with `bench_gate --perf`
      OUTDIR/flame.folded   folded stacks, counts = microseconds; feed to
                            flamegraph.pl or paste into speedscope.app
      OUTDIR/alloc.folded   folded stacks, counts = minor-heap words
@@ -104,7 +103,6 @@ let () =
         Harness.Runner.run_batch ~machine ~scale ~pool ~cache ~perf jobs)
   in
   assert (labels seq = labels prof);
-  let reused, fresh, zeroed = Gpusim.Scratch.aggregate () in
   let sched =
     Observe.Json.with_schema
       (Observe.Json.Obj
@@ -138,13 +136,6 @@ let () =
                | Proxyapps.App.Bench -> "fig10/bench") );
            ("sched", sched);
            ("profile", Observe.Perf.to_json perf);
-           ( "scratch",
-             Observe.Json.Obj
-               [
-                 ("reused_bytes", Observe.Json.Int reused);
-                 ("fresh_bytes", Observe.Json.Int fresh);
-                 ("zeroed_bytes", Observe.Json.Int zeroed);
-               ] );
          ])
   in
   write_file
@@ -163,6 +154,4 @@ let () =
     active pool_stats.Sched.Pool.submitted pool_stats.Sched.Pool.executed
     pool_stats.Sched.Pool.stolen pool_stats.Sched.Pool.waits
     pool_stats.Sched.Pool.boosts;
-  Printf.printf "  scratch: reused %dMB fresh %dMB zeroed %dKB\n"
-    (reused / 1_000_000) (fresh / 1_000_000) (zeroed / 1_000);
   Printf.printf "  wrote %s/perf.json, flame.folded, alloc.folded\n%!" outdir
