@@ -66,10 +66,15 @@ service-smoke:
 # client compile must exit 0 with bytes identical to one-shot mompc, the
 # supervisor must restart within its backoff bounds, the cache directory
 # must stay inside its quota, and no process may exit outside the taxonomy
-# (docs/ROBUSTNESS.md, docs/FLEET.md).
+# (docs/ROBUSTNESS.md, docs/FLEET.md).  Then the scheduler soak: the
+# `sched` suite (pool, caches, parallel batches) 20 times over, so an
+# interleaving bug in Sched.Pool gets 20 chances to show (docs/SCHEDULER.md).
 chaos:
 	dune build bin/mompc.exe bin/mompd.exe
 	sh tools/chaos_soak.sh
+	for i in $$(seq 1 20); do \
+	  dune exec test/test_main.exe -- test sched --compact || exit 1; \
+	done
 
 # Mass-conformance corpus (docs/CONFORMANCE.md): CORPUS_N seeded programs
 # through the full {scheme} x {mode} x {pipeline} differential matrix —

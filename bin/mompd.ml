@@ -254,11 +254,11 @@ let subprocess_backend ~name ~socket_path ~log_file args =
     | None -> ()
     | Some p ->
       (try Unix.kill p Sys.sigterm with Unix.Unix_error _ -> ());
-      let deadline = Unix.gettimeofday () +. 8.0 in
+      let deadline = Observe.Clock.now_s () +. 8.0 in
       let rec reap () =
         match Unix.waitpid [ Unix.WNOHANG ] p with
         | 0, _ ->
-          if Unix.gettimeofday () < deadline then begin
+          if Observe.Clock.now_s () < deadline then begin
             Thread.delay 0.05;
             reap ()
           end

@@ -5,8 +5,8 @@
      dune exec bin/run_experiments.exe -- fig9
      dune exec bin/run_experiments.exe -- fig11 xsbench --tiny
 
-   Every figure collects its measurements through the Sched work-stealing
-   pool ([-j N], default 1) and a shared content-addressed result cache, so
+   Every figure collects its measurements through the Sched domain pool
+   ([-j N], default 1) and a shared content-addressed result cache, so
    configurations that repeat across tables (e.g. dev0 appears in Figures
    9, 10 and 11) are compiled and simulated once.  Tables are rendered from
    ordered batch results: the output is byte-identical at every [-j].

@@ -373,12 +373,9 @@ let compile_files ?(jobs = 1) ?cache_dir ?cache_max_bytes ?cache_max_entries
         match watchdog_s with
         | None -> Sched.Pool.map_list pool one files
         | Some watchdog_s ->
-          (* The guard turns a hung job into a structured Timeout; the
-             per-file retry loop already lives inside [compile_buffered],
-             so the guard itself does not retry. *)
-          Sched.Pool.map_list_guarded pool ~watchdog_s
-            (fun ~attempt:_ file -> one file)
-            files
+          (* The guard turns a hung job into a structured Timeout; bounded
+             retry lives inside [compile_buffered]. *)
+          Sched.Pool.map_list_guarded pool ~watchdog_s one files
           |> List.map2
                (fun file -> function
                  | Result.Ok r -> r

@@ -305,13 +305,13 @@ let flag_unknown_runtime_calls (m : Ir.Irmod.t) (sink : Remark.sink) =
     (Ir.Irmod.defined_funcs m)
 
 let run_pipeline ?(pipeline = Pipeline.full) ?(injector = Fault.Injector.none) ?trace
-    ?sink (m : Ir.Irmod.t) : report =
+    (m : Ir.Irmod.t) : report =
   (* Every mutable artifact of one pipeline run — the remark sink, the
      counter record and the optional trace — is local to this invocation (or
-     injected by the job context that owns it), never module-level state:
+     owned by the job that passes the trace), never module-level state:
      the batch scheduler runs many pipelines concurrently on separate
      domains and their remarks/counters must not bleed into each other. *)
-  let sink = match sink with Some s -> s | None -> Remark.sink () in
+  let sink = Remark.sink () in
   let report = ref empty_report in
   (* Wrap one pass invocation: when a trace is attached, snapshot the module
      and the counters around [f] and record the deltas as one event.  The

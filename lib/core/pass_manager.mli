@@ -128,7 +128,6 @@ val run_pipeline :
   ?pipeline:Pipeline.t ->
   ?injector:Fault.Injector.t ->
   ?trace:Observe.Trace.t ->
-  ?sink:Remark.sink ->
   Ir.Irmod.t ->
   report
 (** [run_pipeline m] optimizes [m] in place, executing [pipeline] (default
@@ -144,8 +143,7 @@ val run_pipeline :
     All mutable pipeline state (remark sink, counters, trace) is local to
     one [run_pipeline] invocation, so concurrent runs on distinct modules
     from different domains are safe and cannot observe each other's
-    remarks.  [sink] injects a caller-owned (fresh, per-job) remark sink;
-    when omitted, a private one is created.
+    remarks: each run creates its own remark sink.
 
     When [trace] is given, every executed pass records one
     [Observe.Trace.event] per round: the pass's wall time (monotonic clock,

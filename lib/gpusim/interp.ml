@@ -1521,8 +1521,8 @@ let () = launch_hook := launch_kernel
 (* The host runs as a single-thread pseudo-team so that stray runtime calls
    (tracing, math) behave; kernels are launched on direct calls to kernel
    functions. *)
-let run_host ?(entry = "main") t =
-  let f = Irmod.find_func_exn t.m entry in
+let run_host t =
+  let f = Irmod.find_func_exn t.m "main" in
   let host_thread =
     {
       gid = -1;

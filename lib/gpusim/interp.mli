@@ -87,8 +87,8 @@ val create :
     Simulated memory is allocated as the run touches it ({!Mem}), so
     creation is cheap and nothing needs releasing afterwards. *)
 
-val run_host : ?entry:string -> t -> unit
-(** Execute the host [entry] function (default ["main"]).  Kernel launches
+val run_host : t -> unit
+(** Execute the host function ["main"].  Kernel launches
     happen synchronously as they are reached.
     @raise Mem.Out_of_memory when a launch exhausts the device heap.
     @raise Rvalue.Sim_error on dynamic errors (bad memory, unknown calls).

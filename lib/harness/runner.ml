@@ -54,17 +54,6 @@ let prof perf ~plabel phase f =
   | None -> f ()
   | Some p -> Observe.Perf.record p ~stack:[ plabel; phase ] f
 
-let compile_for ?trace ?injector ?perf ~plabel (config : Config.t)
-    (app : Proxyapps.App.t) (scale : Proxyapps.App.scale) =
-  match prof perf ~plabel "frontend" (fun () -> frontend_for config app scale) with
-  | m, None -> (m, None)
-  | m, Some pipeline ->
-    let report =
-      prof perf ~plabel "optimize" (fun () ->
-          Openmpopt.Pass_manager.run_pipeline ~pipeline ?injector ?trace m)
-    in
-    (m, Some report)
-
 let checksum_of_trace sim =
   match Gpusim.Interp.trace_values sim with
   | [ Gpusim.Rvalue.F v ] -> Some v
@@ -147,97 +136,70 @@ let cache_key ~machine ~scale ?(inject = "") (m : Ir.Irmod.t) (config : Config.t
     ]
 
 (* The per-job injector: derived from the config's specs with a tag naming
-   the job AND the attempt, so (a) the coin sequence one job sees is
-   independent of how pool domains interleave jobs, and (b) a retried job
-   draws fresh coins — that is what makes bounded retry worthwhile. *)
-let injector_for ~scale ~attempt (app : Proxyapps.App.t) (config : Config.t) =
+   the job, so the coin sequence one job sees is independent of how pool
+   domains interleave jobs.  The tag's trailing "|0" stays: every seed and
+   rate the tests and the fault matrix probed was probed under it. *)
+let injector_for ~scale (app : Proxyapps.App.t) (config : Config.t) =
   let base = Fault.Injector.create config.Config.inject in
   if Fault.Injector.is_none base then base
   else
     Fault.Injector.derive base
-      (Printf.sprintf "%s|%s|%s|%d" app.Proxyapps.App.name
+      (Printf.sprintf "%s|%s|%s|0" app.Proxyapps.App.name
          (Config.build_fingerprint config.Config.build)
-         (scale_fingerprint scale) attempt)
+         (scale_fingerprint scale))
 
 let run ?(machine = Gpusim.Machine.bench_machine) ?(scale = Proxyapps.App.Bench)
-    ?(with_trace = false) ?cache ?perf ?(attempt = 0)
-    (app : Proxyapps.App.t) (config : Config.t) : measurement =
+    ?(with_trace = false) ?cache ?perf (app : Proxyapps.App.t) (config : Config.t) :
+    measurement =
   let plabel = app.Proxyapps.App.name ^ "/" ^ config.Config.label in
   (* each job owns a fresh trace (and, inside the pass manager, a fresh
      remark sink), so concurrent jobs never interleave their events *)
   let trace = if with_trace then Some (Observe.Trace.create ()) else None in
-  let injector = injector_for ~scale ~attempt app config in
-  (* the Pool_stall site: an injected stall at job start exercises the
-     batch watchdog without touching any compute layer *)
+  let injector = injector_for ~scale app config in
+  (* the Pool_stall site: an injected stall at job start, as
+     [Ompgpu_api.compile_buffered] has *)
   Fault.Injector.stall injector;
   let classify ~phase e = Err (Errors.classify ~phase e (Printexc.get_raw_backtrace ())) in
   let outcome =
-    match cache with
-    | None -> (
-      match compile_for ?trace ~injector ?perf ~plabel config app scale with
-      | exception e -> classify ~phase:Fault.Ompgpu_error.Lowering e
-      | m, report -> measure ~machine ~trace ~injector ?perf ~plabel m report)
-    | Some cache -> (
-      (* the front end always runs (its text is the cache key); the
-         optimize+simulate work — the expensive part — is what a hit skips.
-         Front-end failures produce no module, hence no key: not cached. *)
-      match prof perf ~plabel "frontend" (fun () -> frontend_for config app scale) with
-      | exception e -> classify ~phase:Fault.Ompgpu_error.Lowering e
-      | m, pipeline ->
+    (* the front end always runs: its text is the cache key.  Front-end
+       failures produce no module, hence no key, and are never cached. *)
+    match prof perf ~plabel "frontend" (fun () -> frontend_for config app scale) with
+    | exception e -> classify ~phase:Fault.Ompgpu_error.Lowering e
+    | m, pipeline -> (
+      let optimize_and_measure () =
+        match
+          prof perf ~plabel "optimize" (fun () ->
+              Option.map
+                (fun pipeline ->
+                  Openmpopt.Pass_manager.run_pipeline ~pipeline ~injector ?trace m)
+                pipeline)
+        with
+        | exception e -> classify ~phase:Fault.Ompgpu_error.Optimizing e
+        | report -> measure ~machine ~trace ~injector ?perf ~plabel m report
+      in
+      match cache with
+      | None -> optimize_and_measure ()
+      | Some cache ->
+        (* the optimize+simulate work — the expensive part — is what a hit
+           skips *)
         let key =
           cache_key ~machine ~scale ~inject:(Fault.Injector.fingerprint injector) m
             config
         in
-        Sched.Cache.find_or_compute cache ~key (fun () ->
-            match
-              prof perf ~plabel "optimize" (fun () ->
-                  Option.map
-                    (fun pipeline ->
-                      Openmpopt.Pass_manager.run_pipeline ~pipeline ~injector ?trace m)
-                    pipeline)
-            with
-            | exception e -> classify ~phase:Fault.Ompgpu_error.Optimizing e
-            | report -> measure ~machine ~trace ~injector ?perf ~plabel m report))
+        Sched.Cache.find_or_compute cache ~key optimize_and_measure)
   in
   { app = app.Proxyapps.App.name; config; outcome }
-
-let is_transient_outcome = function
-  | Err e -> Fault.Ompgpu_error.is_transient e
-  | Ok _ -> false
 
 (* The batch entry point of the scheduler: compile+optimize+simulate every
    (app, config) pair, concurrently when a pool is given.  Results are in
    input order, so sequential and parallel runs render identical tables.
-
-   Supervision: [watchdog_s] bounds each job's wall time (pool runs only —
-   a sequential run cannot be preempted); transient failures (timeouts,
-   allocation faults) are retried up to [retries] times with exponential
-   backoff, each attempt drawing fresh injector coins.  No exception
-   escapes a batch: every job settles to a measurement. *)
-let run_batch ?machine ?scale ?with_trace ?pool ?cache ?perf ?watchdog_s
-    ?(retries = 0) ?backoff_s jobs =
+   [run] settles every failure into an [Err] outcome; the pool's guard
+   contains anything else as a Scheduling-phase error. *)
+let run_batch ?machine ?scale ?with_trace ?pool ?cache ?perf jobs =
+  let one (app, config) = run ?machine ?scale ?with_trace ?cache ?perf app config in
   match pool with
-  | None ->
-    let rec attempt n (app, config) =
-      let m = run ?machine ?scale ?with_trace ?cache ?perf ~attempt:n app config in
-      if n < retries && is_transient_outcome m.outcome then begin
-        (match backoff_s with
-        | Some b -> Unix.sleepf (b *. float_of_int (1 lsl n))
-        | None -> ());
-        attempt (n + 1) (app, config)
-      end
-      else m
-    in
-    List.map (attempt 0) jobs
+  | None -> List.map one jobs
   | Some pool ->
-    let job ~attempt (app, config) =
-      let m = run ?machine ?scale ?with_trace ?cache ?perf ~attempt app config in
-      (* surface transient failures as exceptions so the pool's guard can
-         apply its retry policy; terminal failures settle immediately *)
-      match m.outcome with
-      | Err e when Fault.Ompgpu_error.is_transient e -> raise (Fault.Ompgpu_error.Error e)
-      | _ -> m
-    in
     List.map2
       (fun (app, config) result ->
         match result with
@@ -249,14 +211,12 @@ let run_batch ?machine ?scale ?with_trace ?pool ?cache ?perf ?watchdog_s
             outcome = Err (Errors.classify ~phase:Fault.Ompgpu_error.Scheduling e bt);
           })
       jobs
-      (Sched.Pool.map_list_guarded pool ?watchdog_s ~retries ?backoff_s job jobs)
+      (Sched.Pool.map_list_guarded pool one jobs)
 
 (* Run a list of configurations for one app; the result list is in config
    order regardless of the execution interleaving. *)
-let run_configs ?machine ?scale ?with_trace ?pool ?cache ?perf ?watchdog_s
-    ?retries ?backoff_s app configs =
-  run_batch ?machine ?scale ?with_trace ?pool ?cache ?perf ?watchdog_s ?retries
-    ?backoff_s
+let run_configs ?machine ?scale ?with_trace ?pool ?cache ?perf app configs =
+  run_batch ?machine ?scale ?with_trace ?pool ?cache ?perf
     (List.map (fun config -> (app, config)) configs)
 
 (* Relative performance versus a baseline measurement (the paper normalizes

@@ -49,7 +49,6 @@ val run :
   ?with_trace:bool ->
   ?cache:outcome Sched.Cache.t ->
   ?perf:Observe.Perf.t ->
-  ?attempt:int ->
   Proxyapps.App.t ->
   Config.t ->
   measurement
@@ -63,15 +62,17 @@ val run :
     allocation profile (docs/PERF.md).  Safe to share across pool
     domains.
 
-    Never raises: every failure settles into an [Err] outcome.  When the
-    config arms fault sites ([Config.with_inject]), a per-(job, [attempt])
-    injector is derived and threaded through the pass manager and the
-    simulator; [attempt] (default 0) makes retried jobs draw fresh coins.
+    Never raises: every failure settles into an [Err] outcome, with the
+    phase it failed in (a front-end failure is [Lowering], an optimizer
+    failure [Optimizing]).  When the config arms fault sites
+    ([Config.with_inject]), a per-job injector is derived and threaded
+    through the pass manager and the simulator.
 
     With [cache], the front end still runs (its output text is the content
     address) but the optimize+simulate work is skipped on a hit.  A cached
     outcome carries the trace and report of the job that computed it;
-    front-end failures are never cached. *)
+    front-end failures are never cached.  With or without [cache], a job's
+    first run renders the same [json_of_measurement]. *)
 
 val run_configs :
   ?machine:Gpusim.Machine.t ->
@@ -80,9 +81,6 @@ val run_configs :
   ?pool:Sched.Pool.t ->
   ?cache:outcome Sched.Cache.t ->
   ?perf:Observe.Perf.t ->
-  ?watchdog_s:float ->
-  ?retries:int ->
-  ?backoff_s:float ->
   Proxyapps.App.t ->
   Config.t list ->
   measurement list
@@ -95,21 +93,14 @@ val run_batch :
   ?pool:Sched.Pool.t ->
   ?cache:outcome Sched.Cache.t ->
   ?perf:Observe.Perf.t ->
-  ?watchdog_s:float ->
-  ?retries:int ->
-  ?backoff_s:float ->
   (Proxyapps.App.t * Config.t) list ->
   measurement list
 (** Compile+optimize+simulate every (app, config) pair — concurrently when
     [pool] is given, each job with its own trace and remark sink — and
     return measurements in input order, so sequential and parallel batches
-    render byte-identical tables.
-
-    Supervision: [watchdog_s] bounds each job's wall time (pool runs only;
-    a hung job settles to [Err] with kind [Timeout]); failures whose
-    [Fault.Ompgpu_error.is_transient] holds are retried up to [retries]
-    times (default 0) with exponential backoff ([backoff_s]), each attempt
-    drawing fresh injector coins.  No exception escapes a batch. *)
+    render byte-identical tables.  No exception escapes a batch.  Bounded
+    retry of transient failures lives in [Ompgpu_api.compile_buffered]'s
+    per-request loop, not here. *)
 
 val relative : baseline:measurement -> measurement -> float option
 (** Performance relative to [baseline] (the paper normalizes to LLVM 12):

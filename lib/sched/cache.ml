@@ -153,9 +153,9 @@ let replace t ~key v =
   | None -> insert t ~key v);
   Mutex.unlock t.mutex
 
-(* Counter-neutral lookup: background maintenance (the upgrade worker)
-   must not distort the request-path hit/miss accounting — nor the
-   recency order, so a peek never saves an entry from eviction. *)
+(* Counter-neutral lookup: inspecting a cache must not distort the
+   request-path hit/miss accounting — nor the recency order, so a peek
+   never saves an entry from eviction. *)
 let peek t ~key =
   Mutex.lock t.mutex;
   let v = Option.map (fun n -> n.value) (Hashtbl.find_opt t.table key) in

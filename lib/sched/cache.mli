@@ -48,8 +48,9 @@ val replace : 'a t -> key:string -> 'a -> unit
 val peek : 'a t -> key:string -> 'a option
 (** Counter- and recency-neutral lookup: like a read under
     {!find_or_compute}'s lock but without touching the hit/miss
-    accounting or the LRU order.  For background maintenance (the
-    upgrade worker), not the request path. *)
+    accounting or the LRU order, so inspecting a cache (as the tests do)
+    never changes what it evicts.  Nothing on the request path or the
+    upgrade path calls it. *)
 
 val hits : 'a t -> int
 

@@ -42,7 +42,7 @@ type t = {
   mutable store_failures : int;
   mutable consec_failures : int;
   mutable breaker_trips : int;
-  mutable disabled_until : float;  (* writes skipped before this time; 0 = open *)
+  mutable disabled_until : float;  (* no writes before this monotonic time; 0 = open *)
 }
 
 let rec mkdir_p path =
@@ -311,11 +311,11 @@ let record_store_failure t =
   t.consec_failures <- t.consec_failures + 1;
   if t.consec_failures >= t.failure_threshold && t.disabled_until = 0. then begin
     t.breaker_trips <- t.breaker_trips + 1;
-    t.disabled_until <- Unix.gettimeofday () +. t.reprobe_after_s
+    t.disabled_until <- Observe.Clock.now_s () +. t.reprobe_after_s
   end
   else if t.consec_failures >= t.failure_threshold then
     (* probe failed: stay disabled for another cooldown *)
-    t.disabled_until <- Unix.gettimeofday () +. t.reprobe_after_s;
+    t.disabled_until <- Observe.Clock.now_s () +. t.reprobe_after_s;
   Mutex.unlock t.mutex
 
 let record_store_success t ~name ~bytes =
@@ -334,7 +334,7 @@ let record_store_success t ~name ~bytes =
 let store t ~key ~data =
   let skip =
     Mutex.lock t.mutex;
-    let s = t.disabled_until > 0. && Unix.gettimeofday () < t.disabled_until in
+    let s = t.disabled_until > 0. && Observe.Clock.now_s () < t.disabled_until in
     Mutex.unlock t.mutex;
     s
   in
@@ -399,6 +399,6 @@ let breaker_trips t = with_lock t (fun () -> t.breaker_trips)
 
 let writes_disabled t =
   with_lock t (fun () ->
-      t.disabled_until > 0. && Unix.gettimeofday () < t.disabled_until)
+      t.disabled_until > 0. && Observe.Clock.now_s () < t.disabled_until)
 
 let max_bytes t = t.max_bytes

@@ -55,8 +55,6 @@ type t = {
   mutable conns : (Unix.file_descr * Thread.t) list;
 }
 
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
 let create ?(injector = I.none) ?lent ~drain_deadline_s socket_path =
   let listener, owned =
     match lent with Some l -> (l, false) | None -> (listen socket_path, true)
@@ -66,7 +64,7 @@ let create ?(injector = I.none) ?lent ~drain_deadline_s socket_path =
     owned;
     injector;
     drain_deadline_s;
-    started_s = now_s ();
+    started_s = Observe.Clock.now_s ();
     stopping = Atomic.make false;
     busy = Atomic.make 0;
     served = Atomic.make 0;
@@ -77,7 +75,7 @@ let create ?(injector = I.none) ?lent ~drain_deadline_s socket_path =
   }
 
 let draining t = Atomic.get t.stopping
-let uptime_s t = now_s () -. t.started_s
+let uptime_s t = Observe.Clock.now_s () -. t.started_s
 let served t = Atomic.get t.served
 let bad t = Atomic.get t.bad
 let injected_drops t = Atomic.get t.injected_drops
@@ -211,8 +209,8 @@ let serve t dispatch =
     (fun () ->
       match accept_loop () with
       | () ->
-        let deadline = now_s () +. t.drain_deadline_s in
-        while Atomic.get t.busy > 0 && now_s () < deadline do
+        let deadline = Observe.Clock.now_s () +. t.drain_deadline_s in
+        while Atomic.get t.busy > 0 && Observe.Clock.now_s () < deadline do
           Thread.delay 0.01
         done;
         let unanswered = Atomic.get t.busy in

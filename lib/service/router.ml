@@ -107,7 +107,7 @@ module Admission = struct
     Mutex.lock t.mutex;
     let s = slot t tenant in
     s.waiting <- s.waiting + 1;
-    let deadline = Unix.gettimeofday () +. t.queue_deadline_s in
+    let deadline = Observe.Clock.now_s () +. t.queue_deadline_s in
     let rec wait () =
       let share = max 1 (t.capacity / max 1 (active t)) in
       if t.total < t.capacity && s.in_flight < share then begin
@@ -117,7 +117,7 @@ module Admission = struct
         Mutex.unlock t.mutex;
         Admitted
       end
-      else if Unix.gettimeofday () >= deadline then begin
+      else if Observe.Clock.now_s () >= deadline then begin
         s.waiting <- s.waiting - 1;
         let pending = t.total in
         Mutex.unlock t.mutex;
@@ -347,7 +347,7 @@ let prober t =
    cooldown expires, when the window is cleared and it rejoins as [down]
    for the prober to vouch for. *)
 let monitor_shard t shard =
-  let now = Unix.gettimeofday () in
+  let now = Observe.Clock.now_s () in
   match locked t (fun () -> shard.state) with
   | Ejected ->
     if now >= shard.ejected_until then begin

@@ -486,7 +486,7 @@ let rec wait_for_idle t =
     let busy, last =
       locked t (fun () -> (t.counters.in_flight > 0, t.last_active))
     in
-    if busy || Unix.gettimeofday () -. last < idle_window_s then begin
+    if busy || Observe.Clock.now_s () -. last < idle_window_s then begin
       Thread.delay 0.002;
       wait_for_idle t
     end
@@ -627,7 +627,7 @@ let handle_compile t ~id ~file ~config source =
         else begin
           t.counters.in_flight <- t.counters.in_flight + 1;
           t.counters.compiles <- t.counters.compiles + 1;
-          t.last_active <- Unix.gettimeofday ();
+          t.last_active <- Observe.Clock.now_s ();
           Ok ()
         end)
   in
@@ -664,7 +664,7 @@ let handle_compile t ~id ~file ~config source =
         ~finally:(fun () ->
           locked t (fun () ->
               t.counters.in_flight <- t.counters.in_flight - 1;
-              t.last_active <- Unix.gettimeofday ()))
+              t.last_active <- Observe.Clock.now_s ()))
         (fun () -> compute_compile t ~config ~file ~key source)
     in
     locked t (fun () ->

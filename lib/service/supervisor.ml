@@ -112,7 +112,7 @@ let run t =
       | () -> Ok () (* clean stop: shutdown request, signal, or [stop] *)
       | exception e ->
         let crash = Printexc.to_string e in
-        let now = Unix.gettimeofday () in
+        let now = Observe.Clock.now_s () in
         let recent =
           now
           :: List.filter

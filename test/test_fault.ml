@@ -3,7 +3,8 @@
 
    The matrix tests exercise every injection site in each supervision mode —
    fail-fast, bounded retry, graceful fallback — through the public driver
-   surfaces (Harness.Runner batches, the scheduler pool, the disk cache),
+   surfaces (Harness.Runner batches, Ompgpu_api.compile_buffered, the
+   scheduler pool, the disk cache),
    asserting that faults always settle into structured outcomes and that
    injected runs are replayable from their seed alone. *)
 
@@ -193,24 +194,69 @@ let test_injection_joins_cache_key () =
         ~inject:(Inj.fingerprint (Inj.create injected.Harness.Config.inject))
         m injected)
 
-let test_retry_recovers () =
-  (* rate 0.0002 / seed 8 is a probed (deterministic) schedule: attempt 0
-     fires an allocation fault, attempt 1 draws fresh coins and runs clean —
-     exactly the transient profile bounded retry exists for *)
-  let app = rsbench () in
-  let config = inject Inj.Mem_alloc ~rate:0.0002 ~seed:8 Harness.Config.no_opt in
-  let once = Harness.Runner.run ~machine ~scale app config in
-  Alcotest.(check (option string)) "attempt 0 fails transiently" (Some "oom")
-    (Option.map E.kind_name (outcome_kind once));
-  let no_retry = Harness.Runner.run_batch ~machine ~scale [ (app, config) ] in
-  Alcotest.(check bool) "retries=0 keeps the failure" true
-    (outcome_kind (List.hd no_retry) <> None);
-  let retried =
-    Harness.Runner.run_batch ~machine ~scale ~retries:1 ~backoff_s:0.001
-      [ (app, config) ]
+let test_cache_path_agrees () =
+  (* [Runner.run] takes one path with or without a cache: the front end,
+     then the same optimize + measure step, called directly or through the
+     cache.  A job's first run renders identically either way, failures
+     included (phase and all). *)
+  let jobs =
+    List.concat_map
+      (fun app ->
+        List.map (fun c -> (app, c)) (Harness.Config.fig10_configs app.Proxyapps.App.name))
+      Proxyapps.Apps.all
+    @ [
+        (rsbench (), inject Inj.Pass_crash Harness.Config.dev0);
+        (rsbench (), inject Inj.Mem_alloc Harness.Config.no_opt);
+      ]
   in
-  Alcotest.(check (option string)) "one retry recovers" None
-    (Option.map E.kind_name (outcome_kind (List.hd retried)))
+  let json m = Observe.Json.to_string (Harness.Runner.json_of_measurement m) in
+  List.iter
+    (fun (app, config) ->
+      let cache : Harness.Runner.outcome Sched.Cache.t = Sched.Cache.create () in
+      Alcotest.(check string)
+        (app.Proxyapps.App.name ^ "/" ^ config.Harness.Config.label)
+        (json (Harness.Runner.run ~machine ~scale app config))
+        (json (Harness.Runner.run ~machine ~scale ~cache app config)))
+    jobs
+
+(* A generic-mode kernel whose large globalized local lands on the device
+   heap: the mem-alloc site's target. *)
+let heap_src =
+  {|
+long A[8];
+static void bump(long* p) { p[0] = p[0] + 1; }
+int main() {
+  #pragma omp target teams distribute num_teams(2) thread_limit(8)
+  for (int i = 0; i < 16; i++) {
+    long v[512];
+    v[0] = (long)i;
+    bump(v);
+    A[i % 8] = v[0];
+  }
+  for (int k = 0; k < 8; k++) { trace(A[k]); }
+  return 0;
+}
+|}
+
+let test_retry_recovers () =
+  (* rate 0.02 / seed 4 is a probed (deterministic) schedule for
+     "retry.c": attempt 0 fires an allocation fault, attempt 1 draws fresh
+     coins and runs clean — exactly the transient profile bounded retry
+     exists for *)
+  let module C = Ompgpu_api.Config in
+  let config =
+    C.default |> C.with_sim
+    |> C.with_inject [ { Inj.site = Inj.Mem_alloc; rate = 0.02; seed = 4 } ]
+  in
+  let compile config =
+    (Ompgpu_api.compile_buffered ~config ~file:"retry.c" heap_src).Ompgpu_api.error
+  in
+  Alcotest.(check (option string)) "attempt 0 fails transiently; retries=0 keeps it"
+    (Some "oom")
+    (Option.map (fun e -> E.kind_name e.E.kind) (compile config));
+  Alcotest.(check (option string)) "one retry recovers with fresh coins" None
+    (Option.map (fun e -> E.kind_name e.E.kind)
+       (compile (C.with_retries ~backoff_s:0.001 1 config)))
 
 let test_injected_batch_byte_stable () =
   (* two same-seed injected batches render byte-identically — the replay
@@ -359,14 +405,14 @@ let test_experiment_kernels_deadlock_free () =
     Proxyapps.Apps.all
 
 (* ------------------------------------------------------------------ *)
-(* Pool supervision: watchdog, bounded retry, containment              *)
+(* Pool supervision: watchdog, containment                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_pool_watchdog () =
   let results =
     Sched.Pool.with_pool ~domains:2 (fun pool ->
         Sched.Pool.map_list_guarded pool ~watchdog_s:0.05
-          (fun ~attempt:_ x ->
+          (fun x ->
             if x = 1 then Unix.sleepf 0.4;
             x * 10)
           [ 0; 1; 2 ])
@@ -378,31 +424,13 @@ let test_pool_watchdog () =
   | _ -> Alcotest.fail "expected [Ok 0; Error timeout; Ok 20]");
   ()
 
-let test_pool_retry_fresh_attempt () =
-  let attempts = Atomic.make 0 in
-  let results =
-    Sched.Pool.with_pool ~domains:1 (fun pool ->
-        Sched.Pool.map_list_guarded pool ~retries:2 ~backoff_s:0.001
-          (fun ~attempt x ->
-            Atomic.incr attempts;
-            if attempt = 0 then
-              E.raise_error (E.Timeout { seconds = 0. }) ~phase:E.Scheduling
-                "transient glitch"
-            else x + attempt)
-          [ 100 ])
-  in
-  (match results with
-  | [ Ok v ] -> Alcotest.(check int) "second attempt succeeds" 101 v
-  | _ -> Alcotest.fail "retry should recover the job");
-  Alcotest.(check int) "exactly two attempts" 2 (Atomic.get attempts)
-
 let test_pool_containment () =
-  (* a deterministic failure is not retried and never escapes the batch *)
+  (* a failing job never escapes the batch, and runs exactly once *)
   let attempts = Atomic.make 0 in
   let results =
     Sched.Pool.with_pool ~domains:2 (fun pool ->
-        Sched.Pool.map_list_guarded pool ~retries:3 ~backoff_s:0.001
-          (fun ~attempt:_ x ->
+        Sched.Pool.map_list_guarded pool
+          (fun x ->
             if x = 1 then begin
               Atomic.incr attempts;
               failwith "deterministic bug"
@@ -414,7 +442,7 @@ let test_pool_containment () =
   | [ Ok 0; Error (Failure msg, _); Ok 2 ] ->
     Alcotest.(check string) "original exception preserved" "deterministic bug" msg
   | _ -> Alcotest.fail "expected the failure contained in slot 1");
-  Alcotest.(check int) "deterministic failures are not retried" 1 (Atomic.get attempts)
+  Alcotest.(check int) "the failing job ran once" 1 (Atomic.get attempts)
 
 (* ------------------------------------------------------------------ *)
 (* Disk-cache integrity                                                *)
@@ -480,6 +508,7 @@ let suite =
     Alcotest.test_case "fire allocates nothing" `Quick test_fire_allocates_nothing;
     Alcotest.test_case "fail-fast matrix" `Quick test_fail_fast_kinds;
     Alcotest.test_case "injection joins cache key" `Quick test_injection_joins_cache_key;
+    Alcotest.test_case "runner cache path agrees" `Quick test_cache_path_agrees;
     Alcotest.test_case "bounded retry recovers" `Quick test_retry_recovers;
     Alcotest.test_case "injected batch byte-stable" `Quick test_injected_batch_byte_stable;
     Alcotest.test_case "shared-budget heap fallback" `Quick test_shared_budget_fallback;
@@ -488,7 +517,6 @@ let suite =
     Alcotest.test_case "experiment kernels deadlock-free" `Quick
       test_experiment_kernels_deadlock_free;
     Alcotest.test_case "pool watchdog" `Quick test_pool_watchdog;
-    Alcotest.test_case "pool retry draws fresh attempt" `Quick test_pool_retry_fresh_attempt;
     Alcotest.test_case "pool containment" `Quick test_pool_containment;
     Alcotest.test_case "cache corruption quarantined" `Quick test_cache_corruption_quarantined;
     Alcotest.test_case "cache external corruption" `Quick test_cache_external_corruption;

@@ -1,7 +1,7 @@
-(* The work-stealing scheduler and result cache: ordering, backpressure,
-   exception propagation, hit/miss accounting — and the properties the
-   parallel driver stands on: byte-identical tables at any [-j] and no
-   remark/trace bleed between concurrent pipeline jobs. *)
+(* The FIFO domain pool and result cache: ordering, backpressure, helping
+   awaiters, exception propagation, hit/miss accounting — and the
+   properties the parallel driver stands on: byte-identical tables at any
+   [-j] and no remark/trace bleed between concurrent pipeline jobs. *)
 
 let machine = Gpusim.Machine.test_machine
 let scale = Proxyapps.App.Tiny
@@ -62,11 +62,8 @@ let test_submit_after_shutdown () =
    jobs whose costs span four orders of magnitude (no-ops through ~1M
    iterations of mixing), mapped at every -j the CI matrix uses.  The
    claims: every future settles (the map returns a full-length list — a
-   lost future would hang or shorten it), results land in input order
-   independent of -j, chunked submission agrees with unchunked, and at
-   -j4 the striped deques actually exchange work (stolen > 0: jobs are
-   round-robined over all stripes while any one domain drains its own
-   stripe first, so an 11x imbalance forces cross-stripe traffic). *)
+   lost future would hang or shorten it) and results land in input order
+   independent of -j. *)
 let test_stress_mixed_cost () =
   let n = 500 in
   (* deterministic mixed costs: 0, ~1e2, ~1e4, ~1e6 iterations *)
@@ -79,31 +76,82 @@ let test_stress_mixed_cost () =
     (i, !acc)
   in
   let expected = List.init n job in
-  let run ~domains ~chunk =
-    Sched.Pool.with_pool ~domains @@ fun pool ->
-    let r = Sched.Pool.map_list pool ~chunk job (List.init n Fun.id) in
-    (r, Sched.Pool.stats pool)
-  in
-  let seq = List.init n job in
   List.iter
-    (fun (domains, chunk) ->
-      let r, s = run ~domains ~chunk in
-      Alcotest.(check int)
-        (Printf.sprintf "-j%d chunk=%d: no lost futures" domains chunk)
-        n (List.length r);
+    (fun domains ->
+      let r, s =
+        Sched.Pool.with_pool ~domains @@ fun pool ->
+        let r = Sched.Pool.map_list pool job (List.init n Fun.id) in
+        (r, Sched.Pool.stats pool)
+      in
+      Alcotest.(check int) (Printf.sprintf "-j%d: no lost futures" domains) n (List.length r);
       Alcotest.(check bool)
-        (Printf.sprintf "-j%d chunk=%d: deterministic, in input order" domains chunk)
-        true (r = expected && r = seq);
+        (Printf.sprintf "-j%d: deterministic, in input order" domains)
+        true (r = expected);
       Alcotest.(check int)
         (Printf.sprintf "-j%d: executed all" domains)
         s.Sched.Pool.submitted s.Sched.Pool.executed)
-    [ (1, 1); (2, 1); (4, 1); (4, 8) ];
-  let _, s4 = run ~domains:4 ~chunk:1 in
-  Alcotest.(check bool)
-    (Printf.sprintf "-j4: work was stolen across stripes (stolen=%d)"
-       s4.Sched.Pool.stolen)
-    true
-    (s4.Sched.Pool.stolen > 0)
+    [ 1; 2; 4 ]
+
+(* Who runs a job.  With one eager worker, a job that holds it leaves the
+   next job queued, and an awaiting caller runs that job on its own domain
+   (counted once in [stolen]) instead of blocking.  With no eager worker (a
+   single-core host), the caller runs every job, oldest first.  Every wait
+   gives up after 10 s, so a pool whose submit does not wake a waiting
+   worker, or whose awaiter does not help, fails a check instead of
+   hanging. *)
+let test_caller_runs_queued_jobs () =
+  let caller = Domain.self () in
+  let spin_until ready =
+    let deadline = Observe.Clock.now_s () +. 10. in
+    while (not (ready ())) && Observe.Clock.now_s () < deadline do
+      Domain.cpu_relax ()
+    done;
+    ready ()
+  in
+  Sched.Pool.with_pool ~domains:1 @@ fun pool ->
+  match Sched.Pool.active_limit pool with
+  | 1 ->
+    let started = Atomic.make false and second_done = Atomic.make false in
+    let held () =
+      Atomic.set started true;
+      ignore (spin_until (fun () -> Atomic.get second_done));
+      Domain.self ()
+    in
+    (* once the idle worker waits, only the submit's signal can wake it *)
+    Alcotest.(check bool) "the idle worker waits" true
+      (spin_until (fun () -> (Sched.Pool.stats pool).Sched.Pool.waits > 0));
+    let first = Sched.Pool.submit pool held in
+    Alcotest.(check bool) "the submit woke the worker" true
+      (spin_until (fun () -> Atomic.get started));
+    let second =
+      Sched.Pool.submit pool (fun () ->
+          Atomic.set second_done true;
+          Domain.self ())
+    in
+    let second_ran_on = Sched.Pool.await second in
+    Alcotest.(check bool) "the queued job ran on the awaiting caller" true
+      (second_ran_on = caller);
+    Alcotest.(check bool) "the held job ran on the worker" true
+      (Sched.Pool.await first <> caller);
+    Alcotest.(check int) "stolen counts the caller's job once" 1
+      (Sched.Pool.stats pool).Sched.Pool.stolen
+  | 0 ->
+    let ran = Mutex.create () and order = ref [] in
+    let results =
+      Sched.Pool.map_list pool
+        (fun i ->
+          Mutex.lock ran;
+          order := i :: !order;
+          Mutex.unlock ran;
+          Domain.self ())
+        (List.init 10 Fun.id)
+    in
+    Alcotest.(check (list int)) "submission order" (List.init 10 Fun.id) (List.rev !order);
+    Alcotest.(check bool) "every job ran on the caller" true
+      (List.for_all (fun d -> d = caller) results);
+    Alcotest.(check int) "stolen counts every job" 10
+      (Sched.Pool.stats pool).Sched.Pool.stolen
+  | n -> Alcotest.failf "a 1-domain pool has %d eager workers" n
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
@@ -260,6 +308,7 @@ let suite =
     Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
     Alcotest.test_case "submit after shutdown" `Quick test_submit_after_shutdown;
     Alcotest.test_case "stress: 500 mixed-cost jobs" `Slow test_stress_mixed_cost;
+    Alcotest.test_case "caller runs queued jobs" `Quick test_caller_runs_queued_jobs;
     Alcotest.test_case "cache accounting" `Quick test_cache_accounting;
     Alcotest.test_case "cache key framing" `Quick test_cache_key_framing;
     Alcotest.test_case "cache raising thunk" `Quick test_cache_raising_thunk;

@@ -44,8 +44,6 @@ type pass = {
   seconds : float;
 }
 
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
 let pass ?(taken = Atomic.make 0) ~connections ~socket_path jobs =
   let n = Array.length jobs in
   let answers = Array.make n None and latency_s = Array.make n 0.0 in
@@ -55,19 +53,19 @@ let pass ?(taken = Atomic.make 0) ~connections ~socket_path jobs =
       let i = Atomic.fetch_and_add taken 1 in
       if i < n then begin
         let j = jobs.(i) in
-        let t0 = now_s () in
+        let t0 = Observe.Clock.now_s () in
         answers.(i) <-
           Some (Service.Client.session_compile session ~file:j.file ~config:j.config j.src);
-        latency_s.(i) <- now_s () -. t0;
+        latency_s.(i) <- Observe.Clock.now_s () -. t0;
         loop ()
       end
     in
     loop ();
     Service.Client.session_close session
   in
-  let t0 = now_s () in
+  let t0 = Observe.Clock.now_s () in
   List.iter Thread.join (List.init connections (fun _ -> Thread.create worker ()));
-  { answers; latency_s; seconds = now_s () -. t0 }
+  { answers; latency_s; seconds = Observe.Clock.now_s () -. t0 }
 
 let per_s p =
   if p.seconds > 0.0 then float_of_int (Array.length p.answers) /. p.seconds else 0.0
@@ -252,7 +250,7 @@ let fleet ~connections ~shards ~domains ~root ~n =
 (* Until the upgrade queue has settled (nothing pending, every queued
    upgrade done or failed) or 120 s have passed; returns upgrades done. *)
 let upgrades_drained socket_path =
-  let deadline = now_s () +. 120.0 in
+  let deadline = Observe.Clock.now_s () +. 120.0 in
   let rec loop () =
     let stats =
       Service.Client.with_connection ~socket_path (fun c ->
@@ -262,7 +260,7 @@ let upgrades_drained socket_path =
     if
       (tier "upgrades_pending" = 0
       && tier "upgrades_done" + tier "upgrades_failed" >= tier "upgrades_queued")
-      || now_s () > deadline
+      || Observe.Clock.now_s () > deadline
     then tier "upgrades_done"
     else begin
       Thread.delay 0.02;
@@ -282,9 +280,9 @@ let tiers ~connections ~domains ~root ~n =
   let tiered_cold, upgrades_done, drain_s, tiered_warm =
     with_daemon ~tiered:true ~domains (fun socket_path ->
         let cold = pass ~connections ~socket_path jobs in
-        let t0 = now_s () in
+        let t0 = Observe.Clock.now_s () in
         let upgrades_done = upgrades_drained socket_path in
-        let drain_s = now_s () -. t0 in
+        let drain_s = Observe.Clock.now_s () -. t0 in
         (cold, upgrades_done, drain_s, pass ~connections ~socket_path jobs))
   in
   (* tiered cold answers are fast-tier bytes: only their errors count *)
